@@ -18,12 +18,14 @@ from .audio import AudioClip, crop_or_pad, load_wav, logmel, save_wav, standardi
 from .analysis import (
     AttnRecord,
     PatchGrid,
+    Whitened,
     attention_entropy,
     collect_stack,
     head_features,
     mean_attention_distance,
     pwcca,
     pwcca_matrix,
+    whiten,
 )
 from .container import load_tensors, save_tensors
 from .evalkit import ProbeResult, TaskScoreTable, overall_score, scene_embedding, train_probe
@@ -78,6 +80,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "WavSpecDataset",
+    "Whitened",
     "WindowSchedule",
     "adamw_step",
     "attention",
@@ -118,6 +121,7 @@ __all__ = [
     "train",
     "train_probe",
     "unpatchify",
+    "whiten",
     "win_attention",
     "window_schedule",
 ]

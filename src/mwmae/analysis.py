@@ -78,7 +78,44 @@ def mean_attention_distance(rec: AttnRecord, grid: PatchGrid) -> float:
     return float(np.mean(per_example))
 
 
-def pwcca(x: np.ndarray, y: np.ndarray, rank_rtol: float = 1e-10) -> float:
+@dataclass(frozen=True)
+class Whitened:
+    """A feature matrix centred and whitened once, for reuse across PWCCA pairs.
+
+    `u` holds the r leading left singular vectors of the centred matrix
+    (n x r) and `proj = s[:r, None] * vt[:r]` (r x d), which equals
+    `u.T @ centred` up to rounding.
+    """
+
+    u: np.ndarray
+    proj: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.u.shape[0], self.proj.shape[1]
+
+
+def whiten(x: np.ndarray, rank_rtol: float = 1e-10) -> Whitened:
+    """Centre the columns of x and whiten them through one SVD.
+
+    Singular values at or below `rank_rtol` times the largest are dropped.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ContractError(f"features must be 2-D (rows, dims), got shape {x.shape}")
+    if x.shape[0] <= x.shape[1]:
+        raise ContractError(f"need more rows than columns: {x.shape}")
+    xc = x - x.mean(axis=0)
+    u, s, vt = np.linalg.svd(xc, full_matrices=False)
+    r = int(np.sum(s > rank_rtol * s[0])) if s.size and s[0] > 0 else 0
+    if r == 0:
+        raise DegenerateInputError("rank-0 input after centering")
+    return Whitened(u=u[:, :r], proj=s[:r, None] * vt[:r])
+
+
+def pwcca(
+    x: np.ndarray | Whitened, y: np.ndarray | Whitened, rank_rtol: float = 1e-10
+) -> float:
     """Projection-weighted canonical correlation between two feature matrices.
 
     Rows are datapoints, columns are feature dims. Columns are centered, each
@@ -86,33 +123,27 @@ def pwcca(x: np.ndarray, y: np.ndarray, rank_rtol: float = 1e-10) -> float:
     singular-value threshold), canonical correlations come from the SVD of
     the whitened cross-covariance, and each correlation is weighted by how
     much of X projects onto its canonical direction.
+
+    Either argument may be a `Whitened` record from `whiten`, which skips
+    its SVD; `rank_rtol` then applies only to raw arguments.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = (m if isinstance(m, Whitened) else np.asarray(m, dtype=np.float64)
+            for m in (x, y))
     if x.shape[0] != y.shape[0]:
         raise ContractError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] <= max(x.shape[1], y.shape[1]):
         raise ContractError(
             f"need more rows than columns: {x.shape} vs {y.shape}"
         )
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
+    wx, wy = (m if isinstance(m, Whitened) else whiten(m, rank_rtol) for m in (x, y))
 
-    ux, sx, _ = np.linalg.svd(xc, full_matrices=False)
-    uy, sy, _ = np.linalg.svd(yc, full_matrices=False)
-    rx = int(np.sum(sx > rank_rtol * sx[0])) if sx.size and sx[0] > 0 else 0
-    ry = int(np.sum(sy > rank_rtol * sy[0])) if sy.size and sy[0] > 0 else 0
-    if rx == 0 or ry == 0:
-        raise DegenerateInputError("rank-0 input after centering")
-    ux, uy = ux[:, :rx], uy[:, :ry]
-
-    a, rho, _ = np.linalg.svd(ux.T @ uy)
-    k = min(rx, ry)
+    a, rho, _ = np.linalg.svd(wx.u.T @ wy.u)
+    k = min(wx.u.shape[1], wy.u.shape[1])
     rho = np.clip(rho[:k], 0.0, 1.0)
 
-    # Canonical directions in X-space; weight each by |projection of X| onto it.
-    h = ux @ a[:, :k]
-    weights = np.abs(h.T @ xc).sum(axis=1)
+    # Canonical directions in X-space are u_x @ a; weight each by
+    # |projection of X| onto it, which is |a.T @ u_x.T @ xc| = |a.T @ proj|.
+    weights = np.abs(a[:, :k].T @ wx.proj).sum(axis=1)
     total = weights.sum()
     if total <= 0:
         raise DegenerateInputError("zero projection weights")
@@ -226,7 +257,7 @@ def window_correlation_summary(
     if not local_heads or not global_heads:
         raise ContractError("need both local and global heads for the comparison")
     feats = {
-        (layer, head): records.features(layer, head)
+        (layer, head): whiten(records.features(layer, head))
         for layer in range(records.n_layers)
         for head in local_heads + global_heads
     }
@@ -254,10 +285,11 @@ def pwcca_matrix(records: StackRecords) -> tuple[np.ndarray, list[str]]:
     """All-pairs PWCCA over (layer, head) features; entry [i, j] = pwcca(i, j).
 
     PWCCA is asymmetric, so the matrix is stored as computed; only the
-    diagonal is guaranteed to be 1.
+    diagonal is guaranteed to be 1. Each head is whitened once, so the cost
+    is H SVDs over all rows plus H^2 small k x k SVDs.
     """
     feats = [
-        records.features(layer, head)
+        whiten(records.features(layer, head))
         for layer in range(records.n_layers)
         for head in range(records.n_heads)
     ]

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -47,18 +48,63 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container; arrays come back as float64."""
-    with open(path, "rb") as fh:
-        (head_len,) = struct.unpack(_LEN_FMT, fh.read(8))
-        header = json.loads(fh.read(head_len).decode("utf-8"))
-        payload = fh.read()
+    """Read a container; arrays come back as float64.
+
+    The header and every entry are checked against the file before any data
+    is used: a truncated or inconsistent file, or a non-finite value, raises
+    ContractError naming the file and, where it applies, the tensor.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise ContractError(f"{path}: {len(raw)} bytes, too short for the header length")
+    (head_len,) = struct.unpack_from(_LEN_FMT, raw)
+    if head_len > len(raw) - 8:
+        raise ContractError(
+            f"{path}: header length {head_len} exceeds the {len(raw) - 8} bytes after it"
+        )
+    try:
+        header = json.loads(raw[8:8 + head_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContractError(f"{path}: header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ContractError(f"{path}: header is not a JSON object")
+    base = 8 + head_len
+    entries = [(*_entry(path, name, meta, len(raw) - base), name)
+               for name, meta in header.items()]
+    ordered = sorted(entries)
+    for (start, size, _, prev), (nxt, _, _, name) in zip(ordered, ordered[1:]):
+        if nxt < start + size:
+            raise ContractError(f"{path}: tensor {name!r} overlaps {prev!r}")
     out: dict[str, np.ndarray] = {}
-    for name, meta in header.items():
-        if meta["dtype"] != "f32":
-            raise ContractError(f"unsupported dtype {meta['dtype']!r} for {name!r}")
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = meta["byte_offset"]
-        arr = np.frombuffer(payload, dtype=_DTYPE, count=count, offset=start)
+    for start, size, shape, name in entries:
+        arr = np.frombuffer(raw, dtype=_DTYPE, count=size // _DTYPE.itemsize,
+                            offset=base + start)
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: tensor {name!r} has non-finite values")
         out[name] = arr.reshape(shape).astype(np.float64)
     return out
+
+
+def _entry(path, name: str, meta, payload_len: int) -> tuple[int, int, tuple[int, ...]]:
+    """Validate one header entry; returns (byte offset, byte size, shape)."""
+
+    def count(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not isinstance(meta, dict):
+        raise ContractError(f"{path}: entry for tensor {name!r} is not an object")
+    if meta.get("dtype") != "f32":
+        raise ContractError(f"{path}: unsupported dtype {meta.get('dtype')!r} for {name!r}")
+    shape = meta.get("shape")
+    if not isinstance(shape, list) or not all(count(d) for d in shape):
+        raise ContractError(f"{path}: bad shape {shape!r} for tensor {name!r}")
+    start = meta.get("byte_offset")
+    if not count(start):
+        raise ContractError(f"{path}: bad byte_offset {start!r} for tensor {name!r}")
+    size = math.prod(shape) * _DTYPE.itemsize
+    if start + size > payload_len:
+        raise ContractError(
+            f"{path}: tensor {name!r} needs bytes {start}..{start + size} "
+            f"but the payload has {payload_len}"
+        )
+    return start, size, tuple(shape)

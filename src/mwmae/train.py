@@ -9,6 +9,7 @@ layer-norm parameters and the mask token.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,6 +205,21 @@ def train(
 
     step = 0
     done = False
+
+    def checkpoint() -> None:
+        # The container stores float32, and its loader rejects non-finite
+        # values, so a weight beyond float32 range must not replace the last
+        # good checkpoint.
+        with np.errstate(over="ignore"):
+            for name, t in named.items():
+                if not np.isfinite(t.data.astype(np.float32)).all():
+                    _flush_csv(loss_csv, csv_rows)
+                    raise TrainingDivergedError(
+                        f"parameter {name!r} left float32 range by step {step}; "
+                        "last checkpoint retained"
+                    )
+        save_checkpoint(out_ckpt, mae_cfg, params)
+
     for epoch in range(train_cfg.total_epochs):
         order = order_rng.permutation(n)
         for b in range(steps_per_epoch):
@@ -235,19 +251,20 @@ def train(
             lrs[step] = lr
             csv_rows.append(f"{step},{epoch},{lr!r},{mean_loss!r}")
             if log_every and step % log_every == 0:
-                print(f"step {step:6d} epoch {epoch:4d} lr {lr:.3e} loss {mean_loss:.6f}")
+                print(f"step {step:6d} epoch {epoch:4d} lr {lr:.3e} loss {mean_loss:.6f}",
+                      file=sys.stderr)
             step += 1
             if step >= total_steps:
                 done = True
                 break
         if out_ckpt is not None and train_cfg.ckpt_every_epochs:
             if (epoch + 1) % train_cfg.ckpt_every_epochs == 0:
-                save_checkpoint(out_ckpt, mae_cfg, params)
+                checkpoint()
         if done:
             break
 
     if out_ckpt is not None:
-        save_checkpoint(out_ckpt, mae_cfg, params)
+        checkpoint()
     _flush_csv(loss_csv, csv_rows)
     return TrainResult(params=params, losses=losses, lrs=lrs)
 

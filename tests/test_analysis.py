@@ -12,11 +12,28 @@ from mwmae.analysis import (
     mean_attention_distance,
     pwcca,
     pwcca_matrix,
+    whiten,
 )
 from mwmae.errors import ContractError, DegenerateInputError
 from mwmae.model import MaeParams
 
 from _toy import tiny_config, toy_spectrograms
+
+
+def _pwcca_reference(x, y, rank_rtol=1e-10):
+    """The composed PWCCA formula: both SVD whitenings redone for every pair."""
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    ux, sx, _ = np.linalg.svd(xc, full_matrices=False)
+    uy, sy, _ = np.linalg.svd(yc, full_matrices=False)
+    rx = int(np.sum(sx > rank_rtol * sx[0]))
+    ry = int(np.sum(sy > rank_rtol * sy[0]))
+    ux, uy = ux[:, :rx], uy[:, :ry]
+    a, rho, _ = np.linalg.svd(ux.T @ uy)
+    k = min(rx, ry)
+    rho = np.clip(rho[:k], 0.0, 1.0)
+    weights = np.abs((ux @ a[:, :k]).T @ xc).sum(axis=1)
+    return float(np.sum(weights / weights.sum() * rho))
 
 
 def _rand_stochastic(rng, n):
@@ -149,6 +166,78 @@ class TestPwcca:
     def test_constant_columns_degenerate(self):
         with pytest.raises(DegenerateInputError):
             pwcca(np.ones((100, 3)), np.random.default_rng(9).normal(size=(100, 3)))
+
+
+class TestFactoredPwcca:
+    @staticmethod
+    def _pairs(rng):
+        # unequal column counts, and duplicated columns so the whitened
+        # ranks r differ from the column counts and from each other
+        base = rng.normal(size=(600, 7))
+        x = base[:, :5] + 0.3 * rng.normal(size=(600, 5))
+        y = np.concatenate([base[:, 2:], rng.normal(size=(600, 3))], axis=1)
+        x_dup = np.concatenate([x, x[:, :2], 2.0 * x[:, 1:2]], axis=1)
+        y_dup = np.concatenate([y[:, :4], y[:, :4]], axis=1)
+        feats = [x, y, x_dup, y_dup, rng.normal(size=(600, 2))]
+        return [(a, b) for a in feats for b in feats]
+
+    def test_whitened_inputs_match_reference(self):
+        rng = np.random.default_rng(21)
+        for i, (x, y) in enumerate(self._pairs(rng)):
+            ref = _pwcca_reference(x, y)
+            wx, wy = whiten(x), whiten(y)
+            for args in ((x, y), (wx, wy), (wx, y), (x, wy)):
+                assert abs(pwcca(*args) - ref) <= 1e-12, i
+
+    def test_whiten_truncates_rank(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(300, 4))
+        w = whiten(np.concatenate([x, x[:, :3]], axis=1))
+        assert w.shape == (300, 7)
+        assert w.u.shape == (300, 4) and w.proj.shape == (4, 7)
+        xc = np.concatenate([x, x[:, :3]], axis=1)
+        xc = xc - xc.mean(axis=0)
+        np.testing.assert_allclose(w.proj, w.u.T @ xc, atol=1e-12)
+
+    def test_matrix_matches_reference_on_decoder_record(self):
+        cfg = tiny_config(dec_depth=2)
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(8, seed=8),
+                                stack="decoder")
+        matrix, _ = pwcca_matrix(records)
+        feats = [records.features(layer, head)
+                 for layer in range(records.n_layers) for head in range(records.n_heads)]
+        for i, fi in enumerate(feats):
+            for j, fj in enumerate(feats):
+                assert abs(matrix[i, j] - _pwcca_reference(fi, fj)) <= 1e-12, (i, j)
+
+    def test_window_summary_matches_reference(self):
+        from mwmae.analysis import window_correlation_summary
+
+        records = TestWindowCorrelationSummary._fabricated_records(np.random.default_rng(11))
+        same, cross = window_correlation_summary(records, (4, 32, 32), 32)
+
+        def sym(a, b):
+            fa, fb = records.features(*a), records.features(*b)
+            return 0.5 * (_pwcca_reference(fa, fb) + _pwcca_reference(fb, fa))
+
+        ref_same = sym((0, 0), (1, 0))
+        ref_cross = np.mean([sym((l1, 0), (l2, g)) for g in (1, 2)
+                             for l1 in range(2) for l2 in range(2)])
+        assert abs(same - ref_same) <= 1e-12
+        assert abs(cross - ref_cross) <= 1e-12
+
+    def test_error_types_with_whitened_inputs(self):
+        rng = np.random.default_rng(23)
+        with pytest.raises(ContractError):
+            pwcca(whiten(rng.normal(size=(100, 4))), whiten(rng.normal(size=(99, 4))))
+        with pytest.raises(ContractError):
+            pwcca(whiten(rng.normal(size=(10, 4))), rng.normal(size=(10, 12)))
+        with pytest.raises(ContractError):
+            whiten(rng.normal(size=(8, 8)))
+        with pytest.raises(DegenerateInputError):
+            pwcca(np.ones((100, 3)), whiten(rng.normal(size=(100, 3))))
+        with pytest.raises(DegenerateInputError):
+            whiten(np.ones((100, 3)))
 
 
 class TestHeadFeatures:

@@ -199,6 +199,17 @@ class TestPipeline:
         assert csv2.read_bytes() == loss_csv.read_bytes()
         assert ckpt2.read_bytes() == ckpt.read_bytes()
 
+    def test_pretrain_logs_to_stderr_only(self, pipeline, tmp_path, capsys):
+        _, wav_dir, _, _, _ = pipeline
+        config = _write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(config), "--data", str(wav_dir),
+                     "--out", str(tmp_path / "m.bin"),
+                     "--loss-csv", str(tmp_path / "l.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step      0" in captured.err
+
 
 class TestScoreCommand:
     def test_score_from_metric_files(self, tmp_path):

@@ -53,3 +53,68 @@ def test_deterministic_bytes(tmp_path):
 def test_empty_rejected(tmp_path):
     with pytest.raises(ContractError):
         save_tensors(tmp_path / "t.bin", {})
+
+
+class TestMalformedFiles:
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"a": np.arange(3.0), "b": np.ones((2, 2))})
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _with_header(path, header, payload):
+        head = json.dumps(header).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(head)) + head + payload)
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:20])
+        with pytest.raises(ContractError, match="header length"):
+            load_tensors(path)
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(struct.pack("<Q", 9) + b"{not json" + bytes(8))
+        with pytest.raises(ContractError, match="JSON"):
+            load_tensors(path)
+
+    def test_huge_header_length(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(struct.pack("<Q", 2**63) + raw[8:])
+        with pytest.raises(ContractError, match="header length"):
+            load_tensors(path)
+
+    def test_truncated_payload(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-4])
+        with pytest.raises(ContractError, match="'b'"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"ok": np.zeros(2), "w": np.array([1.0, bad])})
+        with pytest.raises(ContractError, match="'w'.*non-finite"):
+            load_tensors(path)
+
+    def test_overlapping_tensors(self, tmp_path):
+        path = tmp_path / "t.bin"
+        self._with_header(path, {
+            "a": {"shape": [2], "dtype": "f32", "byte_offset": 0},
+            "b": {"shape": [2], "dtype": "f32", "byte_offset": 4},
+        }, np.zeros(3, dtype="<f4").tobytes())
+        with pytest.raises(ContractError, match="'b' overlaps 'a'"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "f64"), ("shape", [2, -1]), ("shape", "2"), ("byte_offset", -4),
+        ("byte_offset", True),
+    ])
+    def test_bad_entry_fields(self, tmp_path, field, value):
+        path = tmp_path / "t.bin"
+        meta = {"shape": [2], "dtype": "f32", "byte_offset": 0}
+        meta[field] = value
+        self._with_header(path, {"a": meta}, np.zeros(2, dtype="<f4").tobytes())
+        with pytest.raises(ContractError, match="'a'"):
+            load_tensors(path)

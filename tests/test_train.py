@@ -210,6 +210,14 @@ class TestTrainLoop:
         if ckpt.exists():
             load_checkpoint(ckpt)
 
+    def test_weights_beyond_float32_are_never_checkpointed(self, tmp_path):
+        ckpt = tmp_path / "model.bin"
+        tc = toy_train_config(base_lr=1e12, warmup_epochs=1, total_epochs=50,
+                              ckpt_every_epochs=1)
+        with pytest.raises(TrainingDivergedError, match="float32 range"):
+            train(toy_spectrograms(8, seed=4), tiny_config(), tc, out_ckpt=ckpt)
+        load_checkpoint(ckpt)  # an earlier epoch's checkpoint, still finite
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             train([], tiny_config(), toy_train_config())
