@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, WindowSizeError
-from .tensor import Tensor
+from .tensor import Tensor, _node
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,28 @@ class HeadTap:
     head_out: list[np.ndarray] = field(default_factory=list)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, tap: HeadTap | None = None) -> Tensor:
-    """softmax(Q Kᵀ / sqrt(d_k)) V over the last two axes."""
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(Q Kᵀ / sqrt(d_k)) V over the last two axes, from composed ops.
+
+    The reference that `win_attention` is checked against.
+    """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
             f"attention: Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}"
         )
     d_k = q.shape[-1]
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_k))
-    probs = T.softmax_lastdim(scores)
-    if tap is not None:
-        tap.probs.append(probs.data.copy())
-    return T.matmul(probs, v)
+    return T.matmul(T.softmax_lastdim(scores), v)
+
+
+def _window_probs(qw: np.ndarray, kw: np.ndarray, scale: float) -> np.ndarray:
+    """Row-stochastic attention per window: softmax(Q Kᵀ * scale), max-subtracted."""
+    p = np.matmul(qw, np.swapaxes(kw, -1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def win_attention(
@@ -121,17 +131,41 @@ def win_attention(
 ) -> Tensor:
     """Partition the token axis into windows of size `win`, attend within each.
 
-    Inputs are (n, d_k); token order is preserved in the output.
+    Inputs are (..., n, d_k); token order is preserved in the output. One
+    graph node that keeps no scores or probabilities: backward recomputes
+    P from Q and K and uses the softmax identity dS = P∘(dP − rowsum(dP∘P)).
+    A tap receives P as (..., n/win, win, win).
     """
-    n, d_k = q.shape
+    if q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(
+            f"win_attention: Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}"
+        )
+    *lead, n, d_k = q.shape
     if n % win != 0:
         raise WindowSizeError(f"window {win} does not divide token count {n}")
-    m = n // win
-    qw = T.reshape(q, (m, win, d_k))
-    kw = T.reshape(k, (m, win, d_k))
-    vw = T.reshape(v, (m, win, d_k))
-    out = attention(qw, kw, vw, tap=tap)
-    return T.reshape(out, (n, d_k))
+    windows = (*lead, n // win, win, d_k)
+    qw, kw, vw = (t.data.reshape(windows) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(d_k)
+    probs = _window_probs(qw, kw, scale)
+    if tap is not None:
+        tap.probs.append(probs)
+    data = np.matmul(probs, vw).reshape(q.shape)
+
+    def backward(g):
+        p = _window_probs(qw, kw, scale)
+        gw = g.reshape(windows)
+        dv = np.matmul(np.swapaxes(p, -1, -2), gw)
+        ds = np.matmul(gw, np.swapaxes(vw, -1, -2))
+        # rowsum(dP∘P), not the equal rowsum(dO∘O): P <= 1 keeps it finite
+        # where the product of two large dO and O overflows.
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        ds *= scale
+        dq = np.matmul(ds, kw)
+        dk = np.matmul(np.swapaxes(ds, -1, -2), qw)
+        return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
+
+    return _node(data, (q, k, v), backward)
 
 
 def mw_mha(
@@ -142,9 +176,10 @@ def mw_mha(
 ) -> Tensor:
     """Multi-window attention: per-head windowed attention, concat, project.
 
-    With an all-global schedule this reduces exactly to standard MHA.
+    `x` is (n, d_m) or (B, n, d_m). With an all-global schedule this reduces
+    exactly to standard MHA.
     """
-    n, d_m = x.shape
+    n, d_m = x.shape[-2:]
     if len(schedule.windows) != params.n_heads:
         raise ContractError(
             f"schedule has {len(schedule.windows)} windows, params have "
@@ -165,14 +200,14 @@ def mw_mha(
         v = T.matmul(x, params.w_v[i])
         head = win_attention(q, k, v, win, tap=tap)
         if tap is not None:
-            tap.head_out.append(head.data.copy())
+            tap.head_out.append(head.data)
         heads.append(head)
     return T.matmul(T.concat_lastdim(heads), params.w_o)
 
 
 def mha(x: Tensor, params: AttentionParams, tap: HeadTap | None = None) -> Tensor:
     """Standard multi-head attention: mw_mha with every window global."""
-    n = x.shape[0]
+    n = x.shape[-2]
     return mw_mha(x, params, global_schedule(n, params.n_heads), tap=tap)
 
 

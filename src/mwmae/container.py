@@ -4,13 +4,16 @@ Layout: an 8-byte little-endian header length, a UTF-8 JSON header mapping
 each tensor name to {shape, dtype, byte_offset}, then a payload of
 little-endian float32 values. Offsets are relative to the payload start.
 Entries are written in sorted name order so identical inputs produce
-byte-identical files.
+byte-identical files. Files are written to a temporary name and renamed
+into place, so a failed or killed write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,29 +25,43 @@ _LEN_FMT = "<Q"
 _DTYPE = np.dtype("<f4")
 
 
+@contextlib.contextmanager
+def atomic_file(path: str | Path):
+    """Binary handle on a temporary file that replaces `path` on success.
+
+    The temporary file sits in the same directory, so `os.replace` is atomic:
+    readers see the old file or the whole new one. On any error the
+    temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write arrays as float32. Values are downcast from float64."""
+    """Write arrays as float32, atomically. Values are downcast from float64."""
     if not tensors:
         raise ContractError("save_tensors: empty tensor dict")
+    names = sorted(tensors)
     header: dict[str, dict] = {}
-    blobs: list[bytes] = []
     offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=_DTYPE)
-        header[name] = {
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "byte_offset": offset,
-        }
-        raw = arr.tobytes()
-        blobs.append(raw)
-        offset += len(raw)
+    for name in names:
+        shape = np.atleast_1d(tensors[name]).shape
+        header[name] = {"shape": list(shape), "dtype": "f32", "byte_offset": offset}
+        offset += math.prod(shape) * _DTYPE.itemsize
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_file(path) as fh:
         fh.write(struct.pack(_LEN_FMT, len(head)))
         fh.write(head)
-        for raw in blobs:
-            fh.write(raw)
+        for name in names:
+            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPE).tobytes())
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

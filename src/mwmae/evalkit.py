@@ -109,11 +109,10 @@ class _ProbeParams:
 
 
 def _probe_forward(p: _ProbeParams, x: np.ndarray, drop_seed: int | None) -> Tensor:
-    h = T.matmul(Tensor(x), p.w1) + p.b1
-    h = T.gelu(h)
+    h = T.gelu(T.linear(Tensor(x), p.w1, p.b1))
     if drop_seed is not None:
         h = T.dropout(h, PROBE_DROPOUT, drop_seed)
-    return T.matmul(h, p.w2) + p.b2
+    return T.linear(h, p.w2, p.b2)
 
 
 def train_probe(

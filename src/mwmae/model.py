@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .attention import (
     mw_mha,
     window_schedule,
 )
-from .container import load_tensors, save_tensors
+from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -96,21 +97,35 @@ class MaeConfig:
 
 @dataclass(frozen=True)
 class MaskSet:
-    """Partition of patch indices into visible and masked, plus the draw order."""
+    """Partition of patch indices into visible and masked, plus the draw order.
+
+    Index arrays are (k,) for one example or (B, k) for a batch, one row per
+    example (see `stack`).
+    """
 
     visible_idx: np.ndarray
     masked_idx: np.ndarray
     shuffle_perm: np.ndarray
 
     def __post_init__(self):
-        n = len(self.visible_idx) + len(self.masked_idx)
-        combined = np.concatenate([self.visible_idx, self.masked_idx])
-        if not np.array_equal(np.sort(combined), np.arange(n)):
+        combined = np.concatenate([self.visible_idx, self.masked_idx], axis=-1)
+        n = combined.shape[-1]
+        if not np.array_equal(np.sort(combined, axis=-1),
+                              np.broadcast_to(np.arange(n), combined.shape)):
             raise ContractError("visible and masked indices must partition 0..n_p-1")
 
     @property
     def n_p(self) -> int:
-        return len(self.visible_idx) + len(self.masked_idx)
+        return self.visible_idx.shape[-1] + self.masked_idx.shape[-1]
+
+    @staticmethod
+    def stack(masks: list["MaskSet"]) -> "MaskSet":
+        """One batched mask from per-example masks of equal sizes."""
+        return MaskSet(
+            visible_idx=np.stack([m.visible_idx for m in masks]),
+            masked_idx=np.stack([m.masked_idx for m in masks]),
+            shuffle_perm=np.stack([m.shuffle_perm for m in masks]),
+        )
 
 
 def round_half_up(x: float) -> int:
@@ -242,9 +257,8 @@ def _block_forward(
         h = mw_mha(h, p.attn, schedule, tap=tap)
     x = x + h
     h = T.layer_norm(x, p.ln2.g, p.ln2.b)
-    h = T.gelu(T.matmul(h, p.mlp_w1) + p.mlp_b1)
-    h = T.matmul(h, p.mlp_w2) + p.mlp_b2
-    return x + h
+    h = T.gelu(T.linear(h, p.mlp_w1, p.mlp_b1))
+    return x + T.linear(h, p.mlp_w2, p.mlp_b2)
 
 
 @dataclass
@@ -325,7 +339,13 @@ class MaeParams:
 class MaeOutput:
     pred_patches: np.ndarray
     loss: Tensor
-    latent: Tensor
+
+
+def _gather_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """numpy counterpart of `T.take_rows` for (k,) or per-example (B, k) indices."""
+    if idx.ndim == 1:
+        return x[idx]
+    return np.take_along_axis(x, idx[..., None], axis=-2)
 
 
 def encode(
@@ -335,14 +355,19 @@ def encode(
     params: MaeParams,
     tap: list[HeadTap] | None = None,
 ) -> Tensor:
-    """Embed all patches, add positions, keep visible rows, run encoder blocks."""
-    if patches.shape != (cfg.n_p, cfg.patch_dim):
+    """Keep the visible patches, embed them, add their positions, run encoder blocks.
+
+    `patches` is (n_p, patch_dim) with a 1-D mask, or (B, n_p, patch_dim)
+    with a batched mask (`MaskSet.stack`).
+    """
+    vis = mask.visible_idx
+    if patches.shape[-2:] != (cfg.n_p, cfg.patch_dim) or patches.ndim != vis.ndim + 1:
         raise DimensionError(
-            f"expected patches {(cfg.n_p, cfg.patch_dim)}, got {patches.shape}"
+            f"expected patches {(cfg.n_p, cfg.patch_dim)} (batched: with a leading "
+            f"batch dim and a batched mask), got {patches.shape}"
         )
-    x = T.matmul(Tensor(patches), params.embed_w) + params.embed_b
-    x = x + Tensor(params.enc_pos)
-    x = T.take_rows(x, mask.visible_idx)
+    x = T.linear(Tensor(_gather_rows(patches, vis)), params.embed_w, params.embed_b)
+    x = x + Tensor(params.enc_pos[vis])
     for i, blk in enumerate(params.enc_blocks):
         x = _block_forward(x, blk, None, tap=tap[i] if tap is not None else None)
     return T.layer_norm(x, params.enc_norm.g, params.enc_norm.b)
@@ -370,50 +395,77 @@ def decode(
     params: MaeParams,
     tap: list[HeadTap] | None = None,
 ) -> Tensor:
-    """Fill masked slots with the mask token, restore order, run decoder blocks."""
-    n_vis = len(mask.visible_idx)
-    if latent.shape[0] != n_vis:
+    """Fill masked slots with the mask token, restore order, run decoder blocks.
+
+    `latent` is (n_visible, enc_width) or (B, n_visible, enc_width), matching
+    the rank of the mask's index arrays.
+    """
+    n_vis = mask.visible_idx.shape[-1]
+    if latent.shape[-2:-1] != (n_vis,) or latent.data.ndim != mask.visible_idx.ndim + 1:
         raise ContractError(
-            f"latent has {latent.shape[0]} rows but mask marks {n_vis} visible"
+            f"latent of shape {latent.shape} does not match a mask with "
+            f"visible indices {mask.visible_idx.shape}"
         )
     if mask.n_p != cfg.n_p:
         raise ContractError(f"mask covers {mask.n_p} patches, config has {cfg.n_p}")
-    y = T.matmul(latent, params.latent_w) + params.latent_b
-    n_masked = len(mask.masked_idx)
-    mask_rows = Tensor(np.zeros((n_masked, cfg.dec_width))) + params.mask_token
-    shuffled = T.concat([y, mask_rows], axis=0)
-    restore = np.argsort(np.concatenate([mask.visible_idx, mask.masked_idx]))
+    y = T.linear(latent, params.latent_w, params.latent_b)
+    lead = latent.shape[:-2]
+    mask_rows = Tensor(np.zeros((*lead, mask.masked_idx.shape[-1], cfg.dec_width)))
+    shuffled = T.concat([y, mask_rows + params.mask_token], axis=-2)
+    restore = np.argsort(np.concatenate([mask.visible_idx, mask.masked_idx], axis=-1),
+                         axis=-1)
     x = T.take_rows(shuffled, restore)
     x = x + Tensor(params.dec_pos)
     schedule = cfg.dec_schedule
     for i, blk in enumerate(params.dec_blocks):
         x = _block_forward(x, blk, schedule, tap=tap[i] if tap is not None else None)
     x = T.layer_norm(x, params.dec_norm.g, params.dec_norm.b)
-    return T.matmul(x, params.head_w) + params.head_b
+    return T.linear(x, params.head_w, params.head_b)
 
 
 def masked_mse(pred: Tensor, target: np.ndarray, mask: MaskSet) -> Tensor:
-    """Mean squared error over masked patches only."""
+    """Mean squared error over masked patches only.
+
+    For a batch, every example masks the same number of patches, so this is
+    also the mean of the per-example losses.
+    """
     if pred.shape != target.shape:
         raise DimensionError(
             f"pred shape {pred.shape} != target shape {target.shape}"
         )
-    if len(mask.masked_idx) == 0:
+    if mask.masked_idx.shape[-1] == 0:
         raise ContractError("masked_mse: empty masked set")
-    diff = T.take_rows(pred, mask.masked_idx) - Tensor(target[mask.masked_idx])
+    idx = mask.masked_idx
+    # a + (-b) rounds exactly as a - b, without a graph node for the negation.
+    diff = T.take_rows(pred, idx) + Tensor(-_gather_rows(target, idx))
     return (diff * diff).mean()
 
 
 def mae_forward(
-    spec: np.ndarray, cfg: MaeConfig, params: MaeParams, seed: int
+    spec: np.ndarray, cfg: MaeConfig, params: MaeParams, seed: int | Sequence[int]
 ) -> MaeOutput:
-    """Full pipeline: patchify, mask, encode visible, decode all, masked MSE."""
-    patches = patchify(spec, cfg.patch_t, cfg.patch_f)
-    mask = random_mask(cfg.n_p, cfg.mask_ratio, seed)
+    """Full pipeline: patchify, mask, encode visible, decode all, masked MSE.
+
+    `spec` is one (T, F) spectrogram with an int mask `seed`, or a (B, T, F)
+    batch with one seed per example; the batch's loss is the mean of the
+    per-example losses, in one graph.
+    """
+    spec = np.asarray(spec)
+    if spec.ndim not in (2, 3):
+        raise DimensionError(f"expected a (T, F) or (B, T, F) spectrogram, got {spec.shape}")
+    if spec.ndim == 2:
+        patches = patchify(spec, cfg.patch_t, cfg.patch_f)
+        mask = random_mask(cfg.n_p, cfg.mask_ratio, seed)
+    else:
+        seeds = list(seed)
+        if len(seeds) != len(spec):
+            raise ContractError(f"{len(spec)} spectrograms but {len(seeds)} mask seeds")
+        patches = np.stack([patchify(s, cfg.patch_t, cfg.patch_f) for s in spec])
+        mask = MaskSet.stack([random_mask(cfg.n_p, cfg.mask_ratio, s) for s in seeds])
     latent = encode(patches, mask, cfg, params)
     pred = decode(latent, mask, cfg, params)
     loss = masked_mse(pred, patches, mask)
-    return MaeOutput(pred_patches=pred.data.copy(), loss=loss, latent=latent)
+    return MaeOutput(pred_patches=pred.data, loss=loss)
 
 
 # -- checkpointing --
@@ -423,12 +475,9 @@ def save_checkpoint(path: str | Path, cfg: MaeConfig, params: MaeParams) -> None
     """Container with every named tensor plus a JSON config sidecar."""
     path = Path(path)
     save_tensors(path, {k: v.data for k, v in params.named().items()})
-    sidecar = {
-        k: v for k, v in asdict(cfg).items()
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    sidecar = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
+    with atomic_file(path.with_suffix(path.suffix + ".json")) as fh:
+        fh.write(sidecar.encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[MaeConfig, MaeParams]:

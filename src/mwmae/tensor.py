@@ -7,7 +7,9 @@ for precision/speed tradeoffs to matter.
 
 Broadcasting is deliberately restricted: elementwise ops accept equal shapes
 or a right-hand operand whose shape is a trailing suffix of the left's (the
-bias-add pattern); matmul requires leading batch dims to agree exactly.
+bias-add pattern). matmul and linear require leading batch dims to agree
+exactly, except that a 2-D right-hand operand (a weight) applies to every
+leading index of the left, so the same code runs on (n, d) and (B, n, d).
 """
 
 from __future__ import annotations
@@ -56,16 +58,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    # -- construction helpers --
-
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
     # -- introspection --
 
     @property
@@ -88,23 +80,32 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.
+
+        The graph is consumed: each interior node drops its parents and its
+        backward closure once its gradient has been passed on, so activations
+        are freed during the pass. Backpropagating through a consumed node
+        again raises ContractError instead of silently dropping gradients.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar, got shape {self.shape}"
             )
         order = _topo_order(self)
         flow: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in order:
+        while order:
+            node = order.pop()
             g = flow.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            if g is not None:
+                if node.requires_grad:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
+                if node._backward is not None:
+                    node._backward_into(g, flow)
             if node._backward is not None:
-                node._backward_into(g, flow)
+                node._parents = ()
+                node._backward = _consumed
 
     def _backward_into(self, g: np.ndarray, flow: dict[int, np.ndarray]) -> None:
         grads = self._backward(g)
@@ -112,12 +113,9 @@ class Tensor:
             if pg is None:
                 continue
             acc = flow.get(id(parent))
-            if acc is None:
-                # Copy: backward closures may hand the same array to several
-                # parents, and slots get mutated in place on accumulation.
-                flow[id(parent)] = np.array(pg)
-            else:
-                acc += pg
+            # Never in place: closures may hand the same array to several
+            # parents, or pass `g` itself through.
+            flow[id(parent)] = pg if acc is None else acc + pg
 
     # -- operator sugar (delegates to the module-level ops) --
 
@@ -146,8 +144,12 @@ class Tensor:
         return reshape(self, shape)
 
 
+def _consumed(g: np.ndarray) -> tuple:
+    raise ContractError("backward() reached a node of a graph already backpropagated")
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Reverse topological order of the graph reachable from `root`."""
+    """Topological order of the graph reachable from `root`, root last."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -163,7 +165,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    order.reverse()
     return order
 
 
@@ -307,8 +308,20 @@ def split_lastdim(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows along axis 0; backward scatter-adds."""
+    """Gather rows; backward scatter-adds.
+
+    A 1-D `idx` gathers along axis 0. A 2-D `idx` of shape (B, k) gathers
+    per example from a (B, n, ...) operand: row b of the result is
+    a[b, idx[b]].
+    """
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim == 2:
+        if a.data.ndim < 2 or a.shape[0] != idx.shape[0]:
+            raise DimensionError(
+                f"take_rows: index {idx.shape} needs a ({idx.shape[0]}, n, ...) "
+                f"operand, got {a.shape}"
+            )
+        idx = (np.arange(idx.shape[0])[:, None], idx)
     data = a.data[idx]
 
     def backward(g):
@@ -322,26 +335,55 @@ def take_rows(a: Tensor, idx) -> Tensor:
 # -- matmul --
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading dims must agree exactly."""
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul: operands must be at least 2-D")
+        raise DimensionError(f"{op}: operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
-            f"matmul: inner dims {a.shape[-1]} and {b.shape[-2]} disagree"
+            f"{op}: inner dims {a.shape[-1]} and {b.shape[-2]} disagree"
         )
-    if a.shape[:-2] != b.shape[:-2]:
+    if b.data.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(
-            f"matmul: leading dims {a.shape[:-2]} and {b.shape[:-2]} disagree"
+            f"{op}: leading dims {a.shape[:-2]} and {b.shape[:-2]} disagree"
         )
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight in a @ w, summed over every leading index."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product; leading dims must agree exactly, or `b` is 2-D."""
+    _check_matmul("matmul", a, b)
     data = np.matmul(a.data, b.data)
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, gb
+        if b.data.ndim == 2:
+            return ga, _weight_grad(a.data, g)
+        return ga, np.matmul(np.swapaxes(a.data, -1, -2), g)
 
     return _node(data, (a, b), backward)
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a @ w + b for a (..., k) input, a (k, m) weight and an (m,) bias.
+
+    One node with the same float ops as `matmul` followed by `add`.
+    """
+    if w.data.ndim != 2:
+        raise DimensionError(f"linear: weight must be 2-D, got {w.shape}")
+    _check_matmul("linear", a, w)
+    if b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    data = np.matmul(a.data, w.data) + b.data
+
+    def backward(g):
+        ga = np.matmul(g, w.data.T)
+        return ga, _weight_grad(a.data, g), _reduce_to_shape(g, b.shape)
+
+    return _node(data, (a, w, b), backward)
 
 
 # -- reductions --
@@ -501,8 +543,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     denom = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
 
-
-def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        from .errors import TrainingDivergedError
-        raise TrainingDivergedError(f"non-finite values in {what}")

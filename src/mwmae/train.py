@@ -226,27 +226,23 @@ def train(
             idx = order[b * batch:(b + 1) * batch]
             for t in named.values():
                 t.zero_grad()
-            loss_sum = 0.0
-            for j, i in enumerate(idx):
-                spec = dataset.spec(int(i), epoch)
-                out = mae_forward(spec, mae_cfg, params,
-                                  seed=_mask_seed(train_cfg.seed, step, j))
-                loss_val = out.loss.item()
-                if not math.isfinite(loss_val):
-                    _flush_csv(loss_csv, csv_rows)
-                    raise TrainingDivergedError(
-                        f"non-finite loss at step {step}; last checkpoint retained"
-                    )
-                out.loss.backward()
-                loss_sum += loss_val
+            specs = np.stack([dataset.spec(int(i), epoch) for i in idx])
+            seeds = [_mask_seed(train_cfg.seed, step, j) for j in range(len(idx))]
+            loss = mae_forward(specs, mae_cfg, params, seed=seeds).loss
+            mean_loss = loss.item()
+            if not math.isfinite(mean_loss):
+                _flush_csv(loss_csv, csv_rows)
+                raise TrainingDivergedError(
+                    f"non-finite loss at step {step}; last checkpoint retained"
+                )
+            loss.backward()
             grads = {
-                k: (t.grad / len(idx)) if t.grad is not None else np.zeros_like(t.data)
+                k: t.grad if t.grad is not None else np.zeros_like(t.data)
                 for k, t in named.items()
             }
             lr = lr_at(step, steps_per_epoch, train_cfg)
             adamw_step(named, grads, state, lr, train_cfg, no_decay=no_decay)
 
-            mean_loss = loss_sum / len(idx)
             losses[step] = mean_loss
             lrs[step] = lr
             csv_rows.append(f"{step},{epoch},{lr!r},{mean_loss!r}")

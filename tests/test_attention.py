@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwmae import tensor as T
 from mwmae.attention import (
     AttentionParams,
+    HeadTap,
     WindowSchedule,
     attention,
     global_schedule,
@@ -15,7 +17,7 @@ from mwmae.attention import (
     win_attention,
     window_schedule,
 )
-from mwmae.errors import ContractError, WindowSizeError
+from mwmae.errors import ContractError, DimensionError, WindowSizeError
 from mwmae.tensor import Tensor, grad_check
 
 
@@ -148,6 +150,67 @@ class TestWinAttention:
         perm = np.array([1, 2, 0, 3, 4, 5])
         out = win_attention(Tensor(q[perm]), Tensor(k), Tensor(v), 3).data
         np.testing.assert_allclose(out, base[perm], atol=1e-12)
+
+
+def _composed_win_attention(q, k, v, win):
+    """The composed ops `win_attention` replaces: reshape, attention, reshape."""
+    *lead, n, d_k = q.shape
+    windows = (*lead, n // win, win, d_k)
+    out = attention(T.reshape(q, windows), T.reshape(k, windows), T.reshape(v, windows))
+    return T.reshape(out, q.shape)
+
+
+class TestFusedWinAttention:
+    """The one-node win_attention, with leading batch dims, at every window
+    size of a schedule (two global heads included)."""
+
+    SHAPE = (2, 12, 3)
+
+    @staticmethod
+    def _inputs(seed):
+        rng = np.random.default_rng(seed)
+        return {n: rng.normal(size=TestFusedWinAttention.SHAPE) for n in "qkvc"}
+
+    @pytest.mark.parametrize("win", window_schedule(12).windows)
+    def test_grad_check_with_batch_dims(self, win):
+        base = self._inputs(win)
+        cot = Tensor(base["c"])
+        for name in "qkv":
+            def f(t, name=name):
+                args = {k: Tensor(base[k]) for k in "qkv"}
+                args[name] = t
+                return (win_attention(args["q"], args["k"], args["v"], win) * cot).sum()
+
+            assert grad_check(f, Tensor(base[name])) < 1e-6
+
+    @pytest.mark.parametrize("win", window_schedule(12).windows)
+    def test_matches_composed_ops(self, win):
+        base = self._inputs(100 + win)
+        results = []
+        for fn in (win_attention, _composed_win_attention):
+            leaves = {n: Tensor(base[n], requires_grad=True) for n in "qkv"}
+            out = fn(leaves["q"], leaves["k"], leaves["v"], win)
+            (out * Tensor(base["c"])).sum().backward()
+            results.append([out.data] + [leaves[n].grad for n in "qkv"])
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_tap_receives_window_probs(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(12, 3)) for _ in range(3))
+        tap = HeadTap()
+        win_attention(Tensor(q), Tensor(k), Tensor(v), 4, tap=tap)
+        (probs,) = tap.probs
+        assert probs.shape == (3, 4, 4)
+        for b in range(3):
+            sl = slice(4 * b, 4 * (b + 1))
+            np.testing.assert_allclose(
+                probs[b], _softmax(q[sl] @ k[sl].T / np.sqrt(3)), rtol=0, atol=1e-15)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            win_attention(Tensor(np.zeros((2, 4, 2))), Tensor(np.zeros((4, 2))),
+                          Tensor(np.zeros((4, 2))), 2)
 
 
 class TestMwMha:

@@ -1,13 +1,18 @@
 """Named-tensor container: format layout and round trips."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from mwmae.container import load_tensors, save_tensors
+from mwmae import container
+from mwmae.container import atomic_file, load_tensors, save_tensors
 from mwmae.errors import ContractError
+from mwmae.model import MaeParams, load_checkpoint, save_checkpoint
+
+from _toy import tiny_config
 
 
 def test_roundtrip_within_f32(tmp_path):
@@ -53,6 +58,67 @@ def test_deterministic_bytes(tmp_path):
 def test_empty_rejected(tmp_path):
     with pytest.raises(ContractError):
         save_tensors(tmp_path / "t.bin", {})
+
+
+class TestAtomicWrites:
+    """A write that fails part-way leaves the previous file whole and no
+    temporary file behind."""
+
+    def test_disk_full_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"a": np.arange(3.0)})
+        old = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes 20 bytes, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 20
+
+            def write(self, data):
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        monkeypatch.setattr(container, "open", lambda p, mode: FullDisk(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_tensors(path, {"a": np.ones(4), "b": np.zeros((2, 2))})
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        np.testing.assert_array_equal(load_tensors(path)["a"], np.arange(3.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
+    def test_interrupted_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_file(path) as fh:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_failed_checkpoint_keeps_old_checkpoint(self, tmp_path):
+        cfg = tiny_config()
+        params = MaeParams.init(cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, cfg, params)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # The last tensor in name order fails to convert, after the others
+        # are written.
+        params.named()["mask_token"].data = np.array(["x"] * cfg.dec_width)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, tiny_config(seed=1), params)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        assert load_checkpoint(path)[0] == cfg
 
 
 class TestMalformedFiles:

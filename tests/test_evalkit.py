@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mwmae import tensor as T
 from mwmae.audio import SAMPLE_RATE, AudioClip
 from mwmae.errors import ContractError
 from mwmae.evalkit import (
@@ -11,6 +12,8 @@ from mwmae.evalkit import (
     scene_embedding,
     train_probe,
 )
+from mwmae.cli import main
+from mwmae.container import save_tensors
 from mwmae.model import MaeConfig, MaeParams
 
 
@@ -96,6 +99,28 @@ class TestTrainProbe:
         b = train_probe(feats, labels, splits, seed=9)
         assert a.test_metric == b.test_metric
         assert a.best_epoch == b.best_epoch
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_probe_json_same_as_composed_matmul_add(self, tmp_path, monkeypatch, multilabel):
+        # T.linear runs the same float ops as matmul followed by a bias add,
+        # so the probe's output file must not change by a single byte.
+        feats, labels, splits = _blobs(12, 3, 6, margin=2.0, seed=6)
+        save_tensors(tmp_path / "emb.bin", {f"c{i}.wav": f for i, f in enumerate(feats)})
+        rows = ["filename,split,label"] + [
+            f"c{i}.wav,{sp},{f'k{lab};x{i % 2}' if multilabel else lab}"
+            for i, (lab, sp) in enumerate(zip(labels, splits))]
+        (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
+
+        def probe_json(name):
+            out = tmp_path / name
+            assert main(["--seed", "4", "probe", "--embeddings", str(tmp_path / "emb.bin"),
+                         "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        fused = probe_json("fused.json")
+        matmul = T.matmul
+        monkeypatch.setattr(T, "linear", lambda a, w, b: matmul(a, w) + b)
+        assert probe_json("composed.json") == fused
 
     def test_single_class_rejected(self):
         feats = np.random.default_rng(3).normal(size=(40, 4))

@@ -1,8 +1,12 @@
 """Masked autoencoder: patch layout, masking, encode/decode, loss, checkpoints."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from mwmae import tensor as T
+from mwmae.analysis import collect_stack
 from mwmae.errors import ContractError, DimensionError
 from mwmae.model import (
     MaeConfig,
@@ -10,6 +14,7 @@ from mwmae.model import (
     MaskSet,
     decode,
     encode,
+    encode_all,
     load_checkpoint,
     mae_forward,
     masked_mse,
@@ -243,6 +248,96 @@ class TestMaeForward:
         tampered[mask.visible_idx] += 123.0
         again = masked_mse(pred, tampered, mask).item()
         assert abs(base - again) < 1e-12
+
+
+def _config_250(**overrides):
+    """200x80 input in 4x16 patches: 250 patches, decoder windows 2..125 plus
+    two global heads."""
+    kwargs = dict(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
+                  dec_depth=1, dec_width=16)
+    kwargs.update(overrides)
+    return MaeConfig(**kwargs)
+
+
+class TestBatchedForward:
+    """One graph per minibatch against the per-example mean it replaces."""
+
+    @pytest.mark.parametrize("make_cfg", [tiny_config, _config_250], ids=["tiny", "250"])
+    def test_loss_and_every_gradient_match_per_example_mean(self, make_cfg):
+        cfg = make_cfg()
+        params = MaeParams.init(cfg)
+        named = params.named()
+        specs = np.random.default_rng(20).normal(size=(4, cfg.input_t, cfg.input_f))
+        seeds = [31, 32, 33, 34]
+
+        losses, preds = [], []
+        for spec, seed in zip(specs, seeds):
+            out = mae_forward(spec, cfg, params, seed=seed)
+            out.loss.backward()
+            losses.append(out.loss.item())
+            preds.append(out.pred_patches)
+        ref = {k: t.grad / len(specs) for k, t in named.items()}
+        for t in named.values():
+            t.zero_grad()
+
+        out = mae_forward(specs, cfg, params, seed=seeds)
+        out.loss.backward()
+        assert abs(out.loss.item() - np.mean(losses)) <= 1e-12
+        np.testing.assert_allclose(out.pred_patches, np.stack(preds), rtol=0, atol=1e-12)
+        for name, t in named.items():
+            np.testing.assert_allclose(t.grad, ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_each_example_keeps_its_mask(self):
+        masks = [random_mask(16, 0.8, seed) for seed in (1, 2, 3)]
+        stacked = MaskSet.stack(masks)
+        assert stacked.visible_idx.shape == (3, 3)
+        assert stacked.n_p == 16
+        for row, m in zip(stacked.masked_idx, masks):
+            np.testing.assert_array_equal(row, m.masked_idx)
+        with pytest.raises(ContractError):
+            MaskSet(np.array([[0, 1], [0, 2]]), np.array([[2], [2]]), np.zeros((2, 3)))
+
+    def test_batch_and_seed_counts_must_agree(self):
+        cfg = tiny_config()
+        params = MaeParams.init(cfg)
+        specs = np.zeros((3, 8, 8))
+        with pytest.raises(ContractError):
+            mae_forward(specs, cfg, params, seed=[1, 2])
+        with pytest.raises(DimensionError):
+            encode(np.zeros((3, 16, 4)), random_mask(16, 0.8, 0), cfg, params)
+
+
+def _seed_win_attention(q, k, v, win, tap=None):
+    """Windowed attention from composed ops, with a tap that copies P: the
+    reference for the fused node in the eval paths."""
+    n, d_k = q.shape
+    qw, kw, vw = (T.reshape(t, (n // win, win, d_k)) for t in (q, k, v))
+    probs = T.softmax_lastdim(T.scale(T.matmul(qw, T.transpose(kw)), 1.0 / np.sqrt(d_k)))
+    if tap is not None:
+        tap.probs.append(probs.data.copy())
+    return T.reshape(T.matmul(probs, vw), (n, d_k))
+
+
+def test_eval_paths_match_composed_attention(monkeypatch):
+    cfg = _config_250(dec_depth=2)
+    params = MaeParams.init(cfg)
+    specs = list(np.random.default_rng(21).normal(size=(2, 200, 80)))
+
+    def run():
+        records = collect_stack(cfg, params, specs, stack="decoder")
+        tokens = encode_all(patchify(specs[0], 4, 16), cfg, params).data
+        return records, tokens
+
+    fused, fused_tokens = run()
+    monkeypatch.setattr(importlib.import_module("mwmae.attention"), "win_attention",
+                        _seed_win_attention)
+    ref, ref_tokens = run()
+    np.testing.assert_allclose(fused_tokens, ref_tokens, rtol=0, atol=1e-12)
+    for ex_got, ex_ref in zip(fused.taps, ref.taps):
+        for got, want in zip(ex_got, ex_ref):
+            assert len(got.probs) == len(want.probs) == cfg.dec_heads
+            for a, b in zip(got.probs + got.head_out, want.probs + want.head_out):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestEndToEndGradients:

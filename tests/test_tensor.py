@@ -217,6 +217,74 @@ class TestOpGradients:
         assert grad_check(lambda t: t.mean(axis=1).sum(), _rand((3, 4), 42)) < 1e-4
 
 
+class TestBatchedOps:
+    """Ops that take a leading batch dim, against the composed ops they replace."""
+
+    def test_linear_grad_check(self):
+        a, w, b = _rand((2, 3, 4), 70), _rand((4, 5), 71), _rand((5,), 72)
+        cot = _rand((2, 3, 5), 73)
+        assert grad_check(lambda t: (T.linear(t, w, b) * cot).sum(), a) < 1e-6
+        assert grad_check(lambda t: (T.linear(a, t, b) * cot).sum(), w) < 1e-6
+        assert grad_check(lambda t: (T.linear(a, w, t) * cot).sum(), b) < 1e-6
+
+    @staticmethod
+    def _grads(f, *xs):
+        leaves = [Tensor(x.data, requires_grad=True) for x in xs]
+        out = f(*leaves)
+        (out * Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    def test_linear_is_bitwise_matmul_plus_bias_in_2d(self):
+        a, w, b = _rand((6, 4), 74), _rand((4, 3), 75), _rand((3,), 76)
+        got, got_g = self._grads(T.linear, a, w, b)
+        ref, ref_g = self._grads(lambda x, y, z: T.matmul(x, y) + z, a, w, b)
+        np.testing.assert_array_equal(got, ref)
+        for g, r in zip(got_g, ref_g):
+            np.testing.assert_array_equal(g, r)
+
+    def test_linear_batched_matches_reshaped_2d(self):
+        a, w, b = _rand((3, 5, 4), 77), _rand((4, 2), 78), _rand((2,), 79)
+        got, (ga, gw, gb) = self._grads(T.linear, a, w, b)
+        ref, (ra, rw, rb) = self._grads(
+            lambda x, y, z: T.reshape(T.matmul(T.reshape(x, (15, 4)), y) + z, (3, 5, 2)),
+            a, w, b)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        for g, r in ((ga, ra), (gw, rw), (gb, rb)):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    def test_matmul_weight_broadcast(self):
+        a, w = _rand((2, 3, 4), 80), _rand((4, 5), 81)
+        cot = _rand((2, 3, 5), 82)
+        assert grad_check(lambda t: (T.matmul(t, w) * cot).sum(), a) < 1e-6
+        assert grad_check(lambda t: (T.matmul(a, t) * cot).sum(), w) < 1e-6
+        got, got_g = self._grads(T.matmul, a, w)
+        ref, ref_g = self._grads(
+            lambda x, y: T.reshape(T.matmul(T.reshape(x, (6, 4)), y), (2, 3, 5)), a, w)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        for g, r in zip(got_g, ref_g):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    def test_take_rows_per_example_index(self):
+        idx = np.array([[0, 2, 2], [4, 1, 0]])
+        a = _rand((2, 5, 3), 83)
+        cot = _rand((2, 3, 3), 84)
+        assert grad_check(lambda t: (T.take_rows(t, idx) * cot).sum(), a) < 1e-6
+        got, (g,) = self._grads(lambda x: T.take_rows(x, idx), a)
+        ref, (r,) = self._grads(
+            lambda x: T.reshape(T.take_rows(T.reshape(x, (10, 3)), (idx + [[0], [5]]).ravel()),
+                                (2, 3, 3)), a)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(g, r)
+
+    def test_batched_shape_errors(self):
+        with pytest.raises(DimensionError):
+            T.take_rows(Tensor(np.zeros((3, 5, 2))), np.zeros((2, 4), dtype=int))
+        with pytest.raises(DimensionError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(4)))
+
+
 class TestShapes:
     def test_reshape_roundtrip_identity(self):
         rng = np.random.default_rng(50)
@@ -252,6 +320,17 @@ class TestGraph:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
             (x * x).backward()
+
+    def test_backward_consumes_the_graph(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        h = x * x
+        y = h.sum()
+        y.backward()
+        assert y._parents == () and h._parents == ()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+        # A second pass through the consumed h would lose x's gradient.
+        with pytest.raises(ContractError, match="already backpropagated"):
+            (h * h).sum().backward()
 
     def test_no_grad_skips_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
