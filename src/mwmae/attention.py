@@ -116,14 +116,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax_lastdim(scores), v)
 
 
-def _window_probs(qw: np.ndarray, kw: np.ndarray, scale: float) -> np.ndarray:
-    """Row-stochastic attention per window: softmax(Q Kᵀ * scale), max-subtracted."""
-    p = np.matmul(qw, np.swapaxes(kw, -1, -2))
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+def _window_probs(
+    qs: np.ndarray, kw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-stochastic attention per window, softmax(Qs Kᵀ), max-subtracted.
+
+    `qs` is Q already scaled by 1/sqrt(d_k). Returns P with each row's max
+    `m` and reciprocal sum `r`, from which exp(Qs Kᵀ − m) * r rebuilds P
+    bit for bit.
+    """
+    p = np.matmul(qs, np.swapaxes(kw, -1, -2))
+    m = p.max(axis=-1, keepdims=True)
+    p -= m
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    r = 1.0 / p.sum(axis=-1, keepdims=True)
+    p *= r
+    return p, m, r
 
 
 def win_attention(
@@ -132,9 +140,10 @@ def win_attention(
     """Partition the token axis into windows of size `win`, attend within each.
 
     Inputs are (..., n, d_k); token order is preserved in the output. One
-    graph node that keeps no scores or probabilities: backward recomputes
-    P from Q and K and uses the softmax identity dS = P∘(dP − rowsum(dP∘P)).
-    A tap receives P as (..., n/win, win, win).
+    graph node that keeps no scores or probabilities, only each query row's
+    max and reciprocal sum: backward rebuilds P as exp(Qs Kᵀ − m) * r, with
+    no reduction or division, and uses the softmax identity
+    dS = P∘(dP − rowsum(dP∘P)). A tap receives P as (..., n/win, win, win).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
@@ -144,15 +153,19 @@ def win_attention(
     if n % win != 0:
         raise WindowSizeError(f"window {win} does not divide token count {n}")
     windows = (*lead, n // win, win, d_k)
-    qw, kw, vw = (t.data.reshape(windows) for t in (q, k, v))
+    kw, vw = (t.data.reshape(windows) for t in (k, v))
     scale = 1.0 / np.sqrt(d_k)
-    probs = _window_probs(qw, kw, scale)
+    qs = q.data.reshape(windows) * scale
+    probs, m, r = _window_probs(qs, kw)
     if tap is not None:
         tap.probs.append(probs)
     data = np.matmul(probs, vw).reshape(q.shape)
 
     def backward(g):
-        p = _window_probs(qw, kw, scale)
+        p = np.matmul(qs, np.swapaxes(kw, -1, -2))
+        p -= m
+        np.exp(p, out=p)
+        p *= r
         gw = g.reshape(windows)
         dv = np.matmul(np.swapaxes(p, -1, -2), gw)
         ds = np.matmul(gw, np.swapaxes(vw, -1, -2))
@@ -160,9 +173,9 @@ def win_attention(
         # where the product of two large dO and O overflows.
         ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
         ds *= p
-        ds *= scale
         dq = np.matmul(ds, kw)
-        dk = np.matmul(np.swapaxes(ds, -1, -2), qw)
+        dq *= scale
+        dk = np.matmul(np.swapaxes(ds, -1, -2), qs)
         return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
 
     return _node(data, (q, k, v), backward)

@@ -13,6 +13,7 @@ from .audio import AudioClip, SAMPLE_RATE, logmel, standardize
 from .errors import ContractError
 from .model import MaeConfig, MaeParams, encode_all, patchify
 from .tensor import Tensor, no_grad
+from .train import OptimizerState, TrainConfig, adamw_step
 
 CHUNK_SECONDS = 2.0
 
@@ -166,10 +167,8 @@ def train_probe(
         b2=Tensor(np.zeros(n_out), requires_grad=True),
     )
     named = p.named()
-    m = {k: np.zeros_like(t.data) for k, t in named.items()}
-    v = {k: np.zeros_like(t.data) for k, t in named.items()}
-    b1c, b2c = PROBE_BETAS
-    adam_t = 0
+    state = OptimizerState.init(named)
+    adam_cfg = TrainConfig(weight_decay=0.0, betas=PROBE_BETAS)
 
     def metric(x: np.ndarray, mask: np.ndarray) -> float:
         logits = _probe_forward(p, x, drop_seed=None).data
@@ -198,14 +197,8 @@ def train_probe(
             for t in named.values():
                 t.zero_grad()
             loss.backward()
-            adam_t += 1
-            k1 = 1.0 - b1c ** adam_t
-            k2 = 1.0 - b2c ** adam_t
-            for k, t in named.items():
-                g = t.grad
-                m[k] = b1c * m[k] + (1 - b1c) * g
-                v[k] = b2c * v[k] + (1 - b2c) * g * g
-                t.data -= PROBE_LR * (m[k] / k1) / (np.sqrt(v[k] / k2) + 1e-8)
+            grads = {k: t.grad for k, t in named.items()}
+            adamw_step(named, grads, state, PROBE_LR, adam_cfg)
 
         val = metric(features[va], va)
         if val > best_val:

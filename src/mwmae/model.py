@@ -9,7 +9,7 @@ Positional tables are fixed sinusoids added before the visibility gather.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -480,11 +480,53 @@ def save_checkpoint(path: str | Path, cfg: MaeConfig, params: MaeParams) -> None
         fh.write(sidecar.encode("utf-8"))
 
 
+def _load_config(sidecar: Path) -> MaeConfig:
+    """Read a checkpoint's JSON sidecar into a MaeConfig.
+
+    The sidecar must be a JSON object with exactly MaeConfig's fields: ints
+    (>= 1, or >= 0 for seed) and a number for mask_ratio. Anything else
+    raises ContractError naming the sidecar and the field.
+    """
+    try:
+        raw = json.loads(sidecar.read_text())
+    except FileNotFoundError:
+        raise ContractError(f"{sidecar}: config sidecar is missing") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"{sidecar}: config sidecar is not JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise ContractError(
+            f"{sidecar}: config sidecar must be a JSON object, got {type(raw).__name__}"
+        )
+    defaults = {f.name: f.default for f in fields(MaeConfig)}
+    unknown = sorted(set(raw) - set(defaults))
+    missing = [name for name in defaults if name not in raw]
+    if unknown or missing:
+        raise ContractError(
+            f"{sidecar}: config sidecar has unknown fields {unknown}, "
+            f"missing fields {missing}"
+        )
+    for name, default in defaults.items():
+        value = raw[name]
+        kinds = (int, float) if isinstance(default, float) else int
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ContractError(
+                f"{sidecar}: field {name!r} must be {type(default).__name__}, "
+                f"got {value!r}"
+            )
+        low = 0 if name == "seed" else 1
+        if isinstance(default, int) and value < low:
+            raise ContractError(f"{sidecar}: field {name!r} must be >= {low}, got {value}")
+    try:
+        return MaeConfig(**raw)
+    except ContractError as e:
+        raise ContractError(f"{sidecar}: {e}") from None
+
+
 def load_checkpoint(path: str | Path) -> tuple[MaeConfig, MaeParams]:
-    """Load and verify: every expected tensor must be present with its shape."""
+    """Load and verify: the config sidecar is checked before any tensor is
+    read, then every expected tensor must be present with its shape."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    cfg = MaeConfig(**sidecar)
+    cfg = _load_config(path.with_suffix(path.suffix + ".json"))
     params = MaeParams.init(cfg)
     stored = load_tensors(path)
     expected = params.named()

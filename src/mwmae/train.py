@@ -66,18 +66,29 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptimizerState:
-    """First/second moment buffers keyed like the parameter dict."""
+    """First/second moments as one flat buffer each.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    `spans` maps each parameter name, in the parameter dict's order, to its
+    (start, stop) slice of the buffers. `scratch` holds two more rows of
+    that length that `adamw_step` works in, so a step allocates no
+    parameter-sized arrays.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    spans: dict[str, tuple[int, int]]
+    scratch: np.ndarray
     step: int = 0
 
     @staticmethod
     def init(params: dict[str, Tensor]) -> "OptimizerState":
-        return OptimizerState(
-            m={k: np.zeros_like(t.data) for k, t in params.items()},
-            v={k: np.zeros_like(t.data) for k, t in params.items()},
-        )
+        spans = {}
+        stop = 0
+        for k, t in params.items():
+            spans[k] = (stop, stop + t.data.size)
+            stop += t.data.size
+        return OptimizerState(m=np.zeros(stop), v=np.zeros(stop), spans=spans,
+                              scratch=np.zeros((2, stop)))
 
 
 def adamw_step(
@@ -89,25 +100,55 @@ def adamw_step(
     no_decay: frozenset[str] | set[str] = frozenset(),
     eps: float = 1e-8,
 ) -> None:
-    """One AdamW update in place: decoupled decay first, then the Adam step."""
+    """One AdamW update in place: decoupled decay first, then the Adam step.
+
+    The update runs once over flat copies of the gradients and parameters,
+    with the float ops of a per-tensor loop, so every parameter ends up
+    bit-identical to that loop. Decay multiplies each element by
+    1 - lr*weight_decay, except in `no_decay` tensors, which keep their
+    values as a factor of exactly 1.0 would. A non-finite gradient raises
+    before any parameter, moment or the step count changes.
+    """
+    if list(params) != list(state.spans):
+        raise ContractError("parameter names differ from the optimizer state's")
+    g, upd = state.scratch
+    np.concatenate([grads[k].ravel() for k in params], out=g)
+    if not np.isfinite(g).all():
+        for name in params:
+            if not np.isfinite(grads[name]).all():
+                raise TrainingDivergedError(f"non-finite gradient for {name!r}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for {name!r}")
-        if name not in no_decay and cfg.weight_decay != 0.0:
-            p.data *= 1.0 - lr * cfg.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    m, v = state.m, state.v
+    # The per-tensor loop's elementwise ops, in place on the two scratch
+    # rows. Multiplication commutes exactly, so g*(1-b2) rounds as
+    # (1-b2)*g and (m/bias1)*lr as lr*(m/bias1).
+    np.multiply(g, 1.0 - b1, out=upd)
+    m *= b1
+    m += upd
+    np.multiply(g, 1.0 - b2, out=upd)
+    upd *= g
+    v *= b2
+    v += upd
+    np.divide(m, bias1, out=upd)
+    upd *= lr
+    denom = g  # the gradients are not needed any more
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    upd /= denom
+    flat = g  # from here on, the parameters
+    np.concatenate([p.data.ravel() for p in params.values()], out=flat)
+    if cfg.weight_decay != 0.0:
+        decayed = np.repeat([k not in no_decay for k in params],
+                            [stop - start for start, stop in state.spans.values()])
+        np.multiply(flat, 1.0 - lr * cfg.weight_decay, out=flat, where=decayed)
+    flat -= upd
+    for p, (start, stop) in zip(params.values(), state.spans.values()):
+        p.data[...] = flat[start:stop].reshape(p.data.shape)
 
 
 class SpectrogramDataset:

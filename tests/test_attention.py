@@ -1,5 +1,7 @@
 """Windowed attention against brute-force slice loops and closed forms."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,11 @@ from mwmae.attention import (
     window_schedule,
 )
 from mwmae.errors import ContractError, DimensionError, WindowSizeError
-from mwmae.tensor import Tensor, grad_check
+from mwmae.tensor import Tensor, _node, grad_check
+
+# The package re-exports a function named `attention`, so the module comes
+# from importlib.
+attention_module = importlib.import_module("mwmae.attention")
 
 
 def _softmax(x):
@@ -160,6 +166,29 @@ def _composed_win_attention(q, k, v, win):
     return T.reshape(out, q.shape)
 
 
+def _win_attention_keeping_probs(q, k, v, win):
+    """win_attention's float ops, but the backward reuses the forward's P."""
+    *lead, n, d_k = q.shape
+    windows = (*lead, n // win, win, d_k)
+    kw, vw = k.data.reshape(windows), v.data.reshape(windows)
+    scale = 1.0 / np.sqrt(d_k)
+    qs = q.data.reshape(windows) * scale
+    s = qs @ np.swapaxes(kw, -1, -2)
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p *= 1.0 / p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gw = g.reshape(windows)
+        ds = gw @ np.swapaxes(vw, -1, -2)
+        ds = (ds - np.einsum("...ij,...ij->...i", ds, p)[..., None]) * p
+        dq = (ds @ kw) * scale
+        dk = np.swapaxes(ds, -1, -2) @ qs
+        dv = np.swapaxes(p, -1, -2) @ gw
+        return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
+
+    return _node((p @ vw).reshape(q.shape), (q, k, v), backward)
+
+
 class TestFusedWinAttention:
     """The one-node win_attention, with leading batch dims, at every window
     size of a schedule (two global heads included)."""
@@ -211,6 +240,20 @@ class TestFusedWinAttention:
         with pytest.raises(DimensionError):
             win_attention(Tensor(np.zeros((2, 4, 2))), Tensor(np.zeros((4, 2))),
                           Tensor(np.zeros((4, 2))), 2)
+
+    @pytest.mark.parametrize("win", window_schedule(12).windows)
+    def test_grads_bit_equal_to_kept_probs(self, win):
+        # Rebuilding P from each row's max and reciprocal sum repeats the
+        # forward's op sequence, so no gradient may differ by a single bit.
+        base = self._inputs(200 + win)
+        results = []
+        for fn in (win_attention, _win_attention_keeping_probs):
+            leaves = {n: Tensor(base[n], requires_grad=True) for n in "qkv"}
+            out = fn(leaves["q"], leaves["k"], leaves["v"], win)
+            (out * Tensor(base["c"])).sum().backward()
+            results.append([out.data] + [leaves[n].grad for n in "qkv"])
+        for got, ref in zip(*results):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestMwMha:
@@ -273,6 +316,27 @@ class TestMwMha:
         x = Tensor(rng.normal(size=(6, 4)))
         with pytest.raises(ContractError):
             mw_mha(x, params, window_schedule(6))  # 4 windows vs 2 heads
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_one_module_level_win_attention_call_per_head(self, monkeypatch, batch):
+        # The benchmark times attention per window by wrapping the module's
+        # win_attention and reading the window from args[3] and the token
+        # count from args[0].shape[0] (2-D input).
+        calls = []
+        orig = attention_module.win_attention
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(attention_module, "win_attention", counting)
+        rng = np.random.default_rng(16)
+        sched = window_schedule(10)  # (2, 5, 10, 10)
+        params = AttentionParams.init(8, sched.n_heads, rng)
+        mw_mha(Tensor(rng.normal(size=(*batch, 10, 8))), params, sched)
+        assert [args[3] for args in calls] == list(sched.windows)
+        if not batch:
+            assert all(args[0].shape[0] == 10 for args in calls)
 
 
 class TestGradients:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mwmae import evalkit
 from mwmae import tensor as T
 from mwmae.audio import SAMPLE_RATE, AudioClip
 from mwmae.errors import ContractError
@@ -76,6 +77,49 @@ def _blobs(n_per_class, n_classes, dim, margin, seed):
     return feats, labels, splits[:len(labels)]
 
 
+def _probe_cli(tmp_path, multilabel):
+    """Write a small embeddings file and label CSV; return a function that
+    runs `mwmae probe` on them at a fixed seed and returns the JSON bytes."""
+    feats, labels, splits = _blobs(12, 3, 6, margin=2.0, seed=6)
+    save_tensors(tmp_path / "emb.bin", {f"c{i}.wav": f for i, f in enumerate(feats)})
+    rows = ["filename,split,label"] + [
+        f"c{i}.wav,{sp},{f'k{lab};x{i % 2}' if multilabel else lab}"
+        for i, (lab, sp) in enumerate(zip(labels, splits))]
+    (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
+
+    def probe_json(name):
+        out = tmp_path / name
+        assert main(["--seed", "4", "probe", "--embeddings", str(tmp_path / "emb.bin"),
+                     "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    return probe_json
+
+
+def _inline_probe_adam():
+    """A stand-in for adamw_step that runs the Adam loop train_probe used to
+    inline: per-tensor moment dicts, PROBE_BETAS and PROBE_LR, no decay."""
+    run = {}
+
+    def step(named, grads, state, lr, cfg, no_decay=frozenset(), eps=1e-8):
+        if run.get("state") is not state:
+            run.update(state=state, adam_t=0,
+                       m={k: np.zeros_like(t.data) for k, t in named.items()},
+                       v={k: np.zeros_like(t.data) for k, t in named.items()})
+        m, v = run["m"], run["v"]
+        b1c, b2c = evalkit.PROBE_BETAS
+        run["adam_t"] += 1
+        k1 = 1.0 - b1c ** run["adam_t"]
+        k2 = 1.0 - b2c ** run["adam_t"]
+        for k, t in named.items():
+            g = t.grad
+            m[k] = b1c * m[k] + (1 - b1c) * g
+            v[k] = b2c * v[k] + (1 - b2c) * g * g
+            t.data -= evalkit.PROBE_LR * (m[k] / k1) / (np.sqrt(v[k] / k2) + 1e-8)
+
+    return step
+
+
 class TestTrainProbe:
     def test_separable_blobs(self):
         feats, labels, splits = _blobs(200, 2, 8, margin=6.0, seed=0)
@@ -104,23 +148,33 @@ class TestTrainProbe:
     def test_probe_json_same_as_composed_matmul_add(self, tmp_path, monkeypatch, multilabel):
         # T.linear runs the same float ops as matmul followed by a bias add,
         # so the probe's output file must not change by a single byte.
-        feats, labels, splits = _blobs(12, 3, 6, margin=2.0, seed=6)
-        save_tensors(tmp_path / "emb.bin", {f"c{i}.wav": f for i, f in enumerate(feats)})
-        rows = ["filename,split,label"] + [
-            f"c{i}.wav,{sp},{f'k{lab};x{i % 2}' if multilabel else lab}"
-            for i, (lab, sp) in enumerate(zip(labels, splits))]
-        (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
-
-        def probe_json(name):
-            out = tmp_path / name
-            assert main(["--seed", "4", "probe", "--embeddings", str(tmp_path / "emb.bin"),
-                         "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
-            return out.read_bytes()
-
+        probe_json = _probe_cli(tmp_path, multilabel)
         fused = probe_json("fused.json")
         matmul = T.matmul
         monkeypatch.setattr(T, "linear", lambda a, w, b: matmul(a, w) + b)
         assert probe_json("composed.json") == fused
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_probe_json_same_as_inline_adam_loop(self, tmp_path, monkeypatch, multilabel):
+        # adamw_step with weight_decay=0 runs the old loop's float ops in the
+        # same order, so the probe's output file must not change by a byte.
+        # The parameters after every step are compared too, since a metric
+        # rarely moves with the last bit of a weight.
+        probe_json = _probe_cli(tmp_path, multilabel)
+        runs = []
+        for step, name in ((evalkit.adamw_step, "flat.json"),
+                           (_inline_probe_adam(), "inline.json")):
+            trail = []
+
+            def recording(named, *args, step=step, trail=trail, **kwargs):
+                step(named, *args, **kwargs)
+                trail.append(b"".join(t.data.tobytes() for t in named.values()))
+
+            monkeypatch.setattr(evalkit, "adamw_step", recording)
+            runs.append((probe_json(name), trail))
+        (flat_json, flat_trail), (inline_json, inline_trail) = runs
+        assert inline_json == flat_json
+        assert len(flat_trail) > 0 and inline_trail == flat_trail
 
     def test_single_class_rejected(self):
         feats = np.random.default_rng(3).normal(size=(40, 4))

@@ -1,6 +1,8 @@
 """Masked autoencoder: patch layout, masking, encode/decode, loss, checkpoints."""
 
+import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -407,3 +409,68 @@ class TestCheckpoint:
         save_tensors(path, tensors)
         with pytest.raises(ContractError, match="mask_token"):
             load_checkpoint(path)
+
+
+def _good_sidecar():
+    return json.dumps(dataclasses.asdict(tiny_config()))
+
+
+class TestCheckpointSidecar:
+    """A malformed config sidecar raises ContractError naming the sidecar
+    and the field, before any tensor is read."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, tiny_config(), MaeParams.init(tiny_config()))
+
+        def no_tensors(p):
+            raise AssertionError("tensors loaded before the sidecar was checked")
+
+        monkeypatch.setattr(importlib.import_module("mwmae.model"), "load_tensors",
+                            no_tensors)
+        return path
+
+    def _rejects(self, ckpt, text, match):
+        sidecar = ckpt.with_suffix(".bin.json")
+        if text is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_text(text)
+        with pytest.raises(ContractError, match=match) as info:
+            load_checkpoint(ckpt)
+        assert str(sidecar) in str(info.value)
+
+    def test_unknown_key(self, ckpt):
+        text = _good_sidecar()[:-1] + ', "dec_heads": 4}'
+        self._rejects(ckpt, text, "unknown fields \\['dec_heads'\\]")
+
+    def test_missing_key(self, ckpt):
+        text = json.dumps({k: v for k, v in json.loads(_good_sidecar()).items()
+                           if k != "patch_f"})
+        self._rejects(ckpt, text, "missing fields \\['patch_f'\\]")
+
+    def test_not_an_object(self, ckpt):
+        self._rejects(ckpt, "[1, 2, 3]", "must be a JSON object, got list")
+
+    def test_not_json(self, ckpt):
+        self._rejects(ckpt, "input_t = 8\n", "not JSON")
+
+    def test_seed_of_wrong_type(self, ckpt):
+        text = _good_sidecar().replace('"seed": 0', '"seed": "x"')
+        self._rejects(ckpt, text, "field 'seed' must be int, got 'x'")
+
+    def test_bool_is_not_an_int(self, ckpt):
+        text = _good_sidecar().replace('"enc_depth": 2', '"enc_depth": true')
+        self._rejects(ckpt, text, "field 'enc_depth' must be int")
+
+    def test_zero_patch_size(self, ckpt):
+        text = _good_sidecar().replace('"patch_t": 2', '"patch_t": 0')
+        self._rejects(ckpt, text, "field 'patch_t' must be >= 1")
+
+    def test_config_check_names_sidecar(self, ckpt):
+        text = _good_sidecar().replace('"mask_ratio": 0.8', '"mask_ratio": 1.5')
+        self._rejects(ckpt, text, "mask_ratio")
+
+    def test_missing_sidecar(self, ckpt):
+        self._rejects(ckpt, None, "sidecar is missing")

@@ -126,6 +126,94 @@ class TestAdamW:
         np.testing.assert_array_equal(run(), run())
 
 
+def _per_tensor_adamw(params, grads, state, lr, cfg, no_decay=frozenset(), eps=1e-8):
+    """The per-tensor AdamW loop that adamw_step must match bit for bit;
+    `state` holds per-name moment dicts and a step count."""
+    b1, b2 = cfg.betas
+    state["step"] += 1
+    t = state["step"]
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if name not in no_decay and cfg.weight_decay != 0.0:
+            p.data *= 1.0 - lr * cfg.weight_decay
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+class TestFlatAdamW:
+    SHAPES = {"enc.w": (4, 3), "enc.ln.g": (3,), "dec.w": (3, 5), "mask": (1, 5),
+              "head.b": ()}
+    NO_DECAY = {"enc.ln.g", "mask"}
+
+    def _params(self, seed):
+        rng = np.random.default_rng(seed)
+        return {k: Tensor(rng.normal(size=s), requires_grad=True)
+                for k, s in self.SHAPES.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.05, 0.0])
+    def test_matches_per_tensor_loop_over_20_steps(self, weight_decay):
+        cfg = TrainConfig(weight_decay=weight_decay, betas=(0.9, 0.95))
+        flat, ref = self._params(0), self._params(0)
+        state = OptimizerState.init(flat)
+        ref_state = {"step": 0,
+                     "m": {k: np.zeros_like(t.data) for k, t in ref.items()},
+                     "v": {k: np.zeros_like(t.data) for k, t in ref.items()}}
+        rng = np.random.default_rng(1)
+        for i in range(20):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)
+                     for k, s in self.SHAPES.items()}
+            lr = 1e-2 * (i + 1) / 20
+            adamw_step(flat, grads, state, lr, cfg, no_decay=self.NO_DECAY)
+            _per_tensor_adamw(ref, grads, ref_state, lr, cfg, no_decay=self.NO_DECAY)
+            for k in self.SHAPES:
+                np.testing.assert_array_equal(flat[k].data, ref[k].data)
+        assert state.step == ref_state["step"] == 20
+        for k, (start, stop) in state.spans.items():
+            np.testing.assert_array_equal(state.m[start:stop], ref_state["m"][k].ravel())
+            np.testing.assert_array_equal(state.v[start:stop], ref_state["v"][k].ravel())
+
+    def test_state_is_flat_in_dict_order(self):
+        state = OptimizerState.init(self._params(2))
+        assert list(state.spans) == list(self.SHAPES)
+        assert state.spans["enc.w"] == (0, 12) and state.spans["head.b"] == (35, 36)
+        assert state.m.shape == state.v.shape == (36,)
+
+    def test_non_finite_grad_names_first_and_changes_nothing(self):
+        cfg = TrainConfig(weight_decay=0.05)
+        params = self._params(3)
+        state = OptimizerState.init(params)
+        rng = np.random.default_rng(4)
+        good = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+        adamw_step(params, good, state, 1e-2, cfg, no_decay=self.NO_DECAY)
+        before = ({k: t.data.copy() for k, t in params.items()},
+                  state.m.copy(), state.v.copy(), state.step)
+        bad = dict(good)
+        bad["dec.w"] = np.full(self.SHAPES["dec.w"], np.inf)
+        bad["mask"] = np.full(self.SHAPES["mask"], np.nan)
+        with pytest.raises(TrainingDivergedError, match="'dec.w'"):
+            adamw_step(params, bad, state, 1e-2, cfg, no_decay=self.NO_DECAY)
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, before[0][k])
+        np.testing.assert_array_equal(state.m, before[1])
+        np.testing.assert_array_equal(state.v, before[2])
+        assert state.step == before[3]
+
+    def test_names_must_match_state(self):
+        params = self._params(5)
+        state = OptimizerState.init(params)
+        del params["mask"]
+        grads = {k: np.zeros(t.shape) for k, t in params.items()}
+        with pytest.raises(ContractError):
+            adamw_step(params, grads, state, 1e-2, TrainConfig())
+
+
 class TestDescentSanity:
     def test_loss_strictly_decreases_on_fixed_batch(self):
         # fixed batch, fixed masks, constant-ish lr 1e-3: ten improving steps
