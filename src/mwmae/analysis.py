@@ -8,13 +8,21 @@ attention matrices, so every metric shares one n x n convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import HeadTap, block_diagonal_probs
 from .errors import ContractError, DegenerateInputError
-from .model import MaeConfig, MaeParams, encode, encode_all, patchify, random_mask
+from .model import (
+    MaeConfig,
+    MaeParams,
+    encode,
+    patchify,
+    random_mask,
+    tap_decoder,
+    tap_encoder,
+)
 from .tensor import no_grad
 
 
@@ -50,6 +58,11 @@ class PatchGrid:
         idx = np.arange(self.n_p)
         return np.stack([idx // self.grid_f, idx % self.grid_f], axis=1).astype(np.float64)
 
+    def distances(self) -> np.ndarray:
+        """n_p x n_p Euclidean distances between patch positions."""
+        pos = self.positions()
+        return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+
 
 def attention_entropy(rec: AttnRecord) -> float:
     """Mean Shannon entropy of attention rows (nats), averaged over examples.
@@ -66,13 +79,15 @@ def attention_entropy(rec: AttnRecord) -> float:
 
 def mean_attention_distance(rec: AttnRecord, grid: PatchGrid) -> float:
     """Attention-weighted Euclidean distance on the patch grid, in patch units."""
-    pos = grid.positions()
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    return _mean_distance(rec, grid.distances())
+
+
+def _mean_distance(rec: AttnRecord, dist: np.ndarray) -> float:
     per_example = []
     for p in rec.probs:
-        if p.shape[0] != grid.n_p:
+        if p.shape[0] != dist.shape[0]:
             raise ContractError(
-                f"attention is {p.shape[0]} tokens but grid has {grid.n_p} patches"
+                f"attention is {p.shape[0]} tokens but grid has {dist.shape[0]} patches"
             )
         per_example.append((p * dist).sum(axis=-1).mean())
     return float(np.mean(per_example))
@@ -84,11 +99,15 @@ class Whitened:
 
     `u` holds the r leading left singular vectors of the centred matrix
     (n x r) and `proj = s[:r, None] * vt[:r]` (r x d), which equals
-    `u.T @ centred` up to rounding.
+    `u.T @ centred` up to rounding. Records from `whiten_heads` also carry
+    `gram`, the Gram matrix of the array their `u`s are column blocks of,
+    and their own columns `cols` in it.
     """
 
     u: np.ndarray
     proj: np.ndarray
+    gram: np.ndarray | None = field(default=None, repr=False)
+    cols: slice | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,7 +144,8 @@ def pwcca(
     much of X projects onto its canonical direction.
 
     Either argument may be a `Whitened` record from `whiten`, which skips
-    its SVD; `rank_rtol` then applies only to raw arguments.
+    its SVD; `rank_rtol` then applies only to raw arguments. Two records from
+    one `whiten_heads` call read their cross product from its shared Gram.
     """
     x, y = (m if isinstance(m, Whitened) else np.asarray(m, dtype=np.float64)
             for m in (x, y))
@@ -137,7 +157,11 @@ def pwcca(
         )
     wx, wy = (m if isinstance(m, Whitened) else whiten(m, rank_rtol) for m in (x, y))
 
-    a, rho, _ = np.linalg.svd(wx.u.T @ wy.u)
+    if wx.gram is not None and wx.gram is wy.gram:
+        cross = wx.gram[wx.cols, wy.cols]
+    else:
+        cross = wx.u.T @ wy.u
+    a, rho, _ = np.linalg.svd(cross)
     k = min(wx.u.shape[1], wy.u.shape[1])
     rho = np.clip(rho[:k], 0.0, 1.0)
 
@@ -173,6 +197,8 @@ class StackRecords:
     n_tokens: int
 
     def record(self, layer: int, head: int) -> AttnRecord:
+        if not self.taps[0][layer].probs:
+            raise ContractError("records were collected without attention probabilities")
         probs = [
             block_diagonal_probs(ex[layer].probs[head], self.n_tokens)
             for ex in self.taps
@@ -181,6 +207,32 @@ class StackRecords:
 
     def features(self, layer: int, head: int) -> np.ndarray:
         return head_features(self.taps, layer, head)
+
+    def whiten_heads(
+        self, heads: list[tuple[int, int]]
+    ) -> dict[tuple[int, int], Whitened]:
+        """Whiten each (layer, head)'s features into its own column block of
+        one (rows, sum of ranks) array, then take that array's Gram once.
+
+        Features are built one head at a time and each record's `u` is a
+        view into the shared array, so no second copy is kept.
+        """
+        rows = len(self.taps) * self.n_tokens
+        basis = np.empty((rows, sum(
+            self.taps[0][layer].head_out[head].shape[1] for layer, head in heads)))
+        blocks, at = [], 0
+        for key in heads:
+            w = whiten(self.features(*key))
+            if w.u.shape[0] != rows:
+                raise ContractError(f"head {key} has {w.u.shape[0]} rows, expected {rows}")
+            cols = slice(at, at + w.u.shape[1])
+            basis[:, cols] = w.u
+            blocks.append((key, cols, w.proj))
+            at = cols.stop
+        basis = basis[:, :at]
+        gram = basis.T @ basis
+        return {key: Whitened(u=basis[:, cols], proj=proj, gram=gram, cols=cols)
+                for key, cols, proj in blocks}
 
     def labels(self) -> list[str]:
         return [
@@ -195,35 +247,36 @@ def collect_stack(
     params: MaeParams,
     specs: list[np.ndarray],
     stack: str = "encoder",
+    probs: bool = True,
 ) -> StackRecords:
-    """Run the model over specs and capture per-head attention and outputs.
+    """Run the model over specs and capture per-head outputs and, with
+    `probs`, attention probabilities.
 
-    The encoder is analyzed with full visibility. The decoder needs a mask
-    to build its input; a fixed per-example seed keeps results deterministic
-    for a given checkpoint and dataset.
+    Each stack runs only up to its last block's attention. The encoder is
+    analyzed with full visibility. The decoder needs a mask to build its
+    input; a fixed per-example seed keeps results deterministic for a given
+    checkpoint and dataset.
     """
     if not specs:
         raise ContractError("empty dataset")
     if stack not in ("encoder", "decoder"):
         raise ContractError(f"stack must be 'encoder' or 'decoder', got {stack!r}")
+    if stack == "encoder":
+        depth, n_heads = cfg.enc_depth, cfg.enc_heads
+    else:
+        depth, n_heads = cfg.dec_depth, cfg.dec_heads
     taps: list[list[HeadTap]] = []
     with no_grad():
         for i, spec in enumerate(specs):
             patches = patchify(spec, cfg.patch_t, cfg.patch_f)
+            ex_taps = [HeadTap(keep_probs=probs) for _ in range(depth)]
             if stack == "encoder":
-                ex_taps = [HeadTap() for _ in range(cfg.enc_depth)]
-                encode_all(patches, cfg, params, tap=ex_taps)
+                tap_encoder(patches, cfg, params, ex_taps)
             else:
-                from .model import decode
-
                 mask = random_mask(cfg.n_p, cfg.mask_ratio, seed=i)
-                latent = encode(patches, mask, cfg, params)
-                ex_taps = [HeadTap() for _ in range(cfg.dec_depth)]
-                decode(latent, mask, cfg, params, tap=ex_taps)
+                tap_decoder(encode(patches, mask, cfg, params), mask, cfg, params, ex_taps)
             taps.append(ex_taps)
-    if stack == "encoder":
-        return StackRecords(cfg.enc_depth, cfg.enc_heads, taps, cfg.n_p)
-    return StackRecords(cfg.dec_depth, cfg.dec_heads, taps, cfg.n_p)
+    return StackRecords(depth, n_heads, taps, cfg.n_p)
 
 
 def entropy_table(records: StackRecords) -> list[tuple[int, int, float]]:
@@ -235,8 +288,9 @@ def entropy_table(records: StackRecords) -> list[tuple[int, int, float]]:
 
 
 def distance_table(records: StackRecords, grid: PatchGrid) -> list[tuple[int, int, float]]:
+    dist = grid.distances()
     return [
-        (layer, head, mean_attention_distance(records.record(layer, head), grid))
+        (layer, head, _mean_distance(records.record(layer, head), dist))
         for layer in range(records.n_layers)
         for head in range(records.n_heads)
     ]
@@ -256,11 +310,11 @@ def window_correlation_summary(
     global_heads = [h for h, w in enumerate(windows) if w == n_tokens]
     if not local_heads or not global_heads:
         raise ContractError("need both local and global heads for the comparison")
-    feats = {
-        (layer, head): whiten(records.features(layer, head))
+    feats = records.whiten_heads([
+        (layer, head)
         for layer in range(records.n_layers)
         for head in local_heads + global_heads
-    }
+    ])
 
     def sym(a, b):
         return 0.5 * (pwcca(feats[a], feats[b]) + pwcca(feats[b], feats[a]))
@@ -285,14 +339,15 @@ def pwcca_matrix(records: StackRecords) -> tuple[np.ndarray, list[str]]:
     """All-pairs PWCCA over (layer, head) features; entry [i, j] = pwcca(i, j).
 
     PWCCA is asymmetric, so the matrix is stored as computed; only the
-    diagonal is guaranteed to be 1. Each head is whitened once, so the cost
-    is H SVDs over all rows plus H^2 small k x k SVDs.
+    diagonal is guaranteed to be 1. Each head is whitened once into a shared
+    array (`StackRecords.whiten_heads`), so the cost is H SVDs over all
+    rows, one Gram of that array, and H^2 small k x k SVDs of its blocks.
     """
-    feats = [
-        whiten(records.features(layer, head))
+    feats = list(records.whiten_heads([
+        (layer, head)
         for layer in range(records.n_layers)
         for head in range(records.n_heads)
-    ]
+    ]).values())
     h = len(feats)
     out = np.zeros((h, h))
     for i in range(h):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, WindowSizeError
-from .tensor import Tensor, _node
+from .tensor import Tensor, _node, glorot
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,11 @@ class AttentionParams:
         if d_m % n_heads != 0:
             raise ContractError(f"d_m={d_m} not divisible by n_heads={n_heads}")
         d_k = d_m // n_heads
-
-        def glorot(n_in, n_out):
-            bound = np.sqrt(6.0 / (n_in + n_out))
-            return Tensor(rng.uniform(-bound, bound, (n_in, n_out)), requires_grad=True)
-
         return AttentionParams(
-            w_q=[glorot(d_m, d_k) for _ in range(n_heads)],
-            w_k=[glorot(d_m, d_k) for _ in range(n_heads)],
-            w_v=[glorot(d_m, d_k) for _ in range(n_heads)],
-            w_o=glorot(n_heads * d_k, d_m),
+            w_q=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
+            w_k=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
+            w_v=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
+            w_o=glorot(rng, n_heads * d_k, d_m),
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -96,10 +91,15 @@ class AttentionParams:
 
 @dataclass
 class HeadTap:
-    """Optional sink for per-head attention probabilities and head outputs."""
+    """Optional sink for per-head attention probabilities and head outputs.
+
+    With `keep_probs` False only `head_out` is filled, so no head's
+    probabilities outlive its attention call.
+    """
 
     probs: list[np.ndarray] = field(default_factory=list)
     head_out: list[np.ndarray] = field(default_factory=list)
+    keep_probs: bool = True
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -143,7 +143,8 @@ def win_attention(
     graph node that keeps no scores or probabilities, only each query row's
     max and reciprocal sum: backward rebuilds P as exp(Qs Kᵀ − m) * r, with
     no reduction or division, and uses the softmax identity
-    dS = P∘(dP − rowsum(dP∘P)). A tap receives P as (..., n/win, win, win).
+    dS = P∘(dP − rowsum(dP∘P)). A tap that keeps probabilities receives P
+    as (..., n/win, win, win).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
@@ -157,7 +158,7 @@ def win_attention(
     scale = 1.0 / np.sqrt(d_k)
     qs = q.data.reshape(windows) * scale
     probs, m, r = _window_probs(qs, kw)
-    if tap is not None:
+    if tap is not None and tap.keep_probs:
         tap.probs.append(probs)
     data = np.matmul(probs, vw).reshape(q.shape)
 

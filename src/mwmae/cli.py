@@ -152,7 +152,7 @@ def _cmd_analyze(args) -> int:
     cfg, params = load_checkpoint(args.ckpt)
     specs = _load_specs(args.data, cfg)
     stack = args.stack or ("decoder" if args.metric == "pwcca" else "encoder")
-    records = collect_stack(cfg, params, specs, stack=stack)
+    records = collect_stack(cfg, params, specs, stack=stack, probs=args.metric != "pwcca")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         if args.metric == "pwcca":

@@ -12,7 +12,7 @@ from . import tensor as T
 from .audio import AudioClip, SAMPLE_RATE, logmel, standardize
 from .errors import ContractError
 from .model import MaeConfig, MaeParams, encode_all, patchify
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, glorot, no_grad
 from .train import OptimizerState, TrainConfig, adamw_step
 
 CHUNK_SECONDS = 2.0
@@ -155,15 +155,10 @@ def train_probe(
 
     x_train = features[tr]
     rng = np.random.default_rng(seed)
-
-    def glorot(n_in, n_out_):
-        bound = np.sqrt(6.0 / (n_in + n_out_))
-        return Tensor(rng.uniform(-bound, bound, (n_in, n_out_)), requires_grad=True)
-
     p = _ProbeParams(
-        w1=glorot(features.shape[1], PROBE_HIDDEN),
+        w1=glorot(rng, features.shape[1], PROBE_HIDDEN),
         b1=Tensor(np.zeros(PROBE_HIDDEN), requires_grad=True),
-        w2=glorot(PROBE_HIDDEN, n_out),
+        w2=glorot(rng, PROBE_HIDDEN, n_out),
         b2=Tensor(np.zeros(n_out), requires_grad=True),
     )
     named = p.named()

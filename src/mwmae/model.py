@@ -26,7 +26,7 @@ from .attention import (
 )
 from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError, DimensionError
-from .tensor import Tensor
+from .tensor import Tensor, glorot
 
 MLP_EXPANSION = 4
 
@@ -217,18 +217,13 @@ class BlockParams:
     @staticmethod
     def init(width: int, n_heads: int, rng: np.random.Generator) -> "BlockParams":
         hidden = MLP_EXPANSION * width
-
-        def glorot(n_in, n_out):
-            bound = np.sqrt(6.0 / (n_in + n_out))
-            return Tensor(rng.uniform(-bound, bound, (n_in, n_out)), requires_grad=True)
-
         return BlockParams(
             ln1=LayerNormParams.init(width),
             attn=AttentionParams.init(width, n_heads, rng),
             ln2=LayerNormParams.init(width),
-            mlp_w1=glorot(width, hidden),
+            mlp_w1=glorot(rng, width, hidden),
             mlp_b1=Tensor(np.zeros(hidden), requires_grad=True),
-            mlp_w2=glorot(hidden, width),
+            mlp_w2=glorot(rng, hidden, width),
             mlp_b2=Tensor(np.zeros(width), requires_grad=True),
         )
 
@@ -244,21 +239,34 @@ class BlockParams:
         return out
 
 
-def _block_forward(
+def _run_blocks(
     x: Tensor,
-    p: BlockParams,
+    blocks: list[BlockParams],
     schedule: WindowSchedule | None,
-    tap: HeadTap | None = None,
-) -> Tensor:
-    h = T.layer_norm(x, p.ln1.g, p.ln1.b)
-    if schedule is None:
-        h = mha(h, p.attn, tap=tap)
-    else:
-        h = mw_mha(h, p.attn, schedule, tap=tap)
-    x = x + h
-    h = T.layer_norm(x, p.ln2.g, p.ln2.b)
-    h = T.gelu(T.linear(h, p.mlp_w1, p.mlp_b1))
-    return x + T.linear(h, p.mlp_w2, p.mlp_b2)
+    taps: list[HeadTap] | None = None,
+) -> Tensor | None:
+    """Pre-norm blocks in order: x + attn(LN(x)), then x + MLP(LN(x)).
+
+    `schedule` None means standard attention. With `taps`, one HeadTap per
+    block, the last block stops after its attention and nothing is returned:
+    no later op reaches a tap.
+    """
+    if taps is not None and len(taps) != len(blocks):
+        raise ContractError(f"{len(taps)} taps for {len(blocks)} blocks")
+    for i, p in enumerate(blocks):
+        tap = taps[i] if taps is not None else None
+        h = T.layer_norm(x, p.ln1.g, p.ln1.b)
+        if schedule is None:
+            h = mha(h, p.attn, tap=tap)
+        else:
+            h = mw_mha(h, p.attn, schedule, tap=tap)
+        if taps is not None and i == len(blocks) - 1:
+            return None
+        x = x + h
+        h = T.layer_norm(x, p.ln2.g, p.ln2.b)
+        h = T.gelu(T.linear(h, p.mlp_w1, p.mlp_b1))
+        x = x + T.linear(h, p.mlp_w2, p.mlp_b2)
+    return x
 
 
 @dataclass
@@ -282,20 +290,15 @@ class MaeParams:
     @staticmethod
     def init(cfg: MaeConfig) -> "MaeParams":
         rng = np.random.default_rng(cfg.seed)
-
-        def glorot(n_in, n_out):
-            bound = np.sqrt(6.0 / (n_in + n_out))
-            return Tensor(rng.uniform(-bound, bound, (n_in, n_out)), requires_grad=True)
-
         return MaeParams(
-            embed_w=glorot(cfg.patch_dim, cfg.enc_width),
+            embed_w=glorot(rng, cfg.patch_dim, cfg.enc_width),
             embed_b=Tensor(np.zeros(cfg.enc_width), requires_grad=True),
             enc_blocks=[
                 BlockParams.init(cfg.enc_width, cfg.enc_heads, rng)
                 for _ in range(cfg.enc_depth)
             ],
             enc_norm=LayerNormParams.init(cfg.enc_width),
-            latent_w=glorot(cfg.enc_width, cfg.dec_width),
+            latent_w=glorot(rng, cfg.enc_width, cfg.dec_width),
             latent_b=Tensor(np.zeros(cfg.dec_width), requires_grad=True),
             mask_token=Tensor(
                 rng.normal(0.0, 0.02, cfg.dec_width), requires_grad=True
@@ -305,7 +308,7 @@ class MaeParams:
                 for _ in range(cfg.dec_depth)
             ],
             dec_norm=LayerNormParams.init(cfg.dec_width),
-            head_w=glorot(cfg.dec_width, cfg.patch_dim),
+            head_w=glorot(rng, cfg.dec_width, cfg.patch_dim),
             head_b=Tensor(np.zeros(cfg.patch_dim), requires_grad=True),
             enc_pos=sincos_pos_embed(cfg.n_p, cfg.enc_width),
             dec_pos=sincos_pos_embed(cfg.n_p, cfg.dec_width),
@@ -348,18 +351,10 @@ def _gather_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(x, idx[..., None], axis=-2)
 
 
-def encode(
-    patches: np.ndarray,
-    mask: MaskSet,
-    cfg: MaeConfig,
-    params: MaeParams,
-    tap: list[HeadTap] | None = None,
+def _embed_visible(
+    patches: np.ndarray, mask: MaskSet, cfg: MaeConfig, params: MaeParams
 ) -> Tensor:
-    """Keep the visible patches, embed them, add their positions, run encoder blocks.
-
-    `patches` is (n_p, patch_dim) with a 1-D mask, or (B, n_p, patch_dim)
-    with a batched mask (`MaskSet.stack`).
-    """
+    """The encoder's input: visible patches embedded, plus their positions."""
     vis = mask.visible_idx
     if patches.shape[-2:] != (cfg.n_p, cfg.patch_dim) or patches.ndim != vis.ndim + 1:
         raise DimensionError(
@@ -367,39 +362,35 @@ def encode(
             f"batch dim and a batched mask), got {patches.shape}"
         )
     x = T.linear(Tensor(_gather_rows(patches, vis)), params.embed_w, params.embed_b)
-    x = x + Tensor(params.enc_pos[vis])
-    for i, blk in enumerate(params.enc_blocks):
-        x = _block_forward(x, blk, None, tap=tap[i] if tap is not None else None)
+    return x + Tensor(params.enc_pos[vis])
+
+
+def encode(patches: np.ndarray, mask: MaskSet, cfg: MaeConfig, params: MaeParams) -> Tensor:
+    """Keep the visible patches, embed them, add their positions, run encoder blocks.
+
+    `patches` is (n_p, patch_dim) with a 1-D mask, or (B, n_p, patch_dim)
+    with a batched mask (`MaskSet.stack`).
+    """
+    x = _run_blocks(_embed_visible(patches, mask, cfg, params), params.enc_blocks, None)
     return T.layer_norm(x, params.enc_norm.g, params.enc_norm.b)
 
 
-def encode_all(
-    patches: np.ndarray,
-    cfg: MaeConfig,
-    params: MaeParams,
-    tap: list[HeadTap] | None = None,
-) -> Tensor:
-    """Encoder over every patch (inference path: no masking)."""
-    full = MaskSet(
-        visible_idx=np.arange(cfg.n_p),
-        masked_idx=np.arange(0),
-        shuffle_perm=np.arange(cfg.n_p),
+def _all_visible(n_p: int) -> MaskSet:
+    return MaskSet(
+        visible_idx=np.arange(n_p), masked_idx=np.arange(0), shuffle_perm=np.arange(n_p)
     )
-    return encode(patches, full, cfg, params, tap=tap)
 
 
-def decode(
-    latent: Tensor,
-    mask: MaskSet,
-    cfg: MaeConfig,
-    params: MaeParams,
-    tap: list[HeadTap] | None = None,
+def encode_all(patches: np.ndarray, cfg: MaeConfig, params: MaeParams) -> Tensor:
+    """Encoder over every patch (inference path: no masking)."""
+    return encode(patches, _all_visible(cfg.n_p), cfg, params)
+
+
+def _decoder_input(
+    latent: Tensor, mask: MaskSet, cfg: MaeConfig, params: MaeParams
 ) -> Tensor:
-    """Fill masked slots with the mask token, restore order, run decoder blocks.
-
-    `latent` is (n_visible, enc_width) or (B, n_visible, enc_width), matching
-    the rank of the mask's index arrays.
-    """
+    """Project the latent, fill masked slots with the mask token, restore
+    patch order and add the decoder positions."""
     n_vis = mask.visible_idx.shape[-1]
     if latent.shape[-2:-1] != (n_vis,) or latent.data.ndim != mask.visible_idx.ndim + 1:
         raise ContractError(
@@ -414,13 +405,37 @@ def decode(
     shuffled = T.concat([y, mask_rows + params.mask_token], axis=-2)
     restore = np.argsort(np.concatenate([mask.visible_idx, mask.masked_idx], axis=-1),
                          axis=-1)
-    x = T.take_rows(shuffled, restore)
-    x = x + Tensor(params.dec_pos)
-    schedule = cfg.dec_schedule
-    for i, blk in enumerate(params.dec_blocks):
-        x = _block_forward(x, blk, schedule, tap=tap[i] if tap is not None else None)
+    return T.take_rows(shuffled, restore) + Tensor(params.dec_pos)
+
+
+def decode(latent: Tensor, mask: MaskSet, cfg: MaeConfig, params: MaeParams) -> Tensor:
+    """Fill masked slots with the mask token, restore order, run decoder blocks.
+
+    `latent` is (n_visible, enc_width) or (B, n_visible, enc_width), matching
+    the rank of the mask's index arrays.
+    """
+    x = _decoder_input(latent, mask, cfg, params)
+    x = _run_blocks(x, params.dec_blocks, cfg.dec_schedule)
     x = T.layer_norm(x, params.dec_norm.g, params.dec_norm.b)
     return T.linear(x, params.head_w, params.head_b)
+
+
+def tap_encoder(
+    patches: np.ndarray, cfg: MaeConfig, params: MaeParams, taps: list[HeadTap]
+) -> None:
+    """Fill one HeadTap per encoder block over every patch, as `encode_all`
+    would, running nothing after the last block's attention."""
+    x = _embed_visible(patches, _all_visible(cfg.n_p), cfg, params)
+    _run_blocks(x, params.enc_blocks, None, taps)
+
+
+def tap_decoder(
+    latent: Tensor, mask: MaskSet, cfg: MaeConfig, params: MaeParams, taps: list[HeadTap]
+) -> None:
+    """Fill one HeadTap per decoder block, as `decode` would, running
+    nothing after the last block's attention."""
+    x = _decoder_input(latent, mask, cfg, params)
+    _run_blocks(x, params.dec_blocks, cfg.dec_schedule, taps)
 
 
 def masked_mse(pred: Tensor, target: np.ndarray, mask: MaskSet) -> Tensor:

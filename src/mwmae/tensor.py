@@ -144,6 +144,12 @@ class Tensor:
         return reshape(self, shape)
 
 
+def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
+    """Trainable (n_in, n_out) weight, Glorot-uniform: one draw from `rng`."""
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return Tensor(rng.uniform(-bound, bound, (n_in, n_out)), requires_grad=True)
+
+
 def _consumed(g: np.ndarray) -> tuple:
     raise ContractError("backward() reached a node of a graph already backpropagated")
 

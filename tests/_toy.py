@@ -6,11 +6,15 @@ spectrograms are noisy mixtures of a few fixed prototypes, so masked
 reconstruction has real structure to learn.
 """
 
+import importlib
+
 import numpy as np
 
 from mwmae import MaeConfig
+from mwmae.attention import HeadTap
 from mwmae.audio import standardize
-from mwmae.model import mae_forward
+from mwmae.model import decode, encode, encode_all, mae_forward, patchify, random_mask
+from mwmae.tensor import no_grad
 from mwmae.train import TrainConfig
 
 
@@ -84,3 +88,42 @@ def param_grad_errors(cfg, params, spec, mask_seed=4, eps=1e-5):
             np.max(np.abs(a - numeric) / np.maximum(1.0, np.abs(numeric)))
         )
     return errors
+
+
+def full_stack_taps(cfg, params, specs, stack: str) -> list[list[HeadTap]]:
+    """Per-example, per-block HeadTaps from the untruncated forward pass.
+
+    Every block runs in full, followed by the final norm (and, for the
+    decoder, the prediction head): the reference for `collect_stack`, whose
+    stacks stop at the last tapped attention. The decoder's masks use the
+    same per-example seeds as `collect_stack`.
+    """
+    model = importlib.import_module("mwmae.model")
+    saved = {name: getattr(model, name) for name in ("mha", "mw_mha")}
+    taps: list[list[HeadTap]] = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            kwargs["tap"] = HeadTap()
+            taps[-1].append(kwargs["tap"])
+            return saved[name](*args, **kwargs)
+        return call
+
+    with no_grad():
+        for i, spec in enumerate(specs):
+            patches = patchify(spec, cfg.patch_t, cfg.patch_f)
+            if stack == "decoder":
+                mask = random_mask(cfg.n_p, cfg.mask_ratio, seed=i)
+                latent = encode(patches, mask, cfg, params)
+            taps.append([])
+            for name in saved:
+                setattr(model, name, spy(name))
+            try:
+                if stack == "encoder":
+                    encode_all(patches, cfg, params)
+                else:
+                    decode(latent, mask, cfg, params)
+            finally:
+                for name, fn in saved.items():
+                    setattr(model, name, fn)
+    return taps

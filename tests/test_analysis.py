@@ -283,6 +283,18 @@ class TestHeadFeatures:
         with pytest.raises(IndexError):
             head_features(records.taps, 0, 99)
 
+    @pytest.mark.parametrize("stack", ["encoder", "decoder"])
+    def test_without_probs_taps_keep_only_head_outputs(self, stack):
+        full = collect_stack(self.cfg, self.params, self.specs, stack=stack)
+        lean = collect_stack(self.cfg, self.params, self.specs, stack=stack, probs=False)
+        for ex_full, ex_lean in zip(full.taps, lean.taps, strict=True):
+            for f, g in zip(ex_full, ex_lean, strict=True):
+                assert g.probs == [] and len(f.probs) == len(g.head_out) > 0
+                for a, b in zip(f.head_out, g.head_out, strict=True):
+                    assert np.array_equal(a, b)
+        with pytest.raises(ContractError, match="without attention probabilities"):
+            lean.record(0, 0)
+
 
 class TestPwccaMatrix:
     def test_diagonal_is_one_and_labels(self):
@@ -296,6 +308,33 @@ class TestPwccaMatrix:
         assert labels[0] == "L0.H0" and labels[-1] == f"L1.H{cfg.dec_heads - 1}"
         np.testing.assert_allclose(np.diag(matrix), 1.0, atol=1e-6)
         assert np.all(matrix >= -1e-9) and np.all(matrix <= 1.0 + 1e-9)
+
+    def test_matches_a_per_pair_loop(self):
+        cfg = tiny_config(dec_depth=2)
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(8, seed=8),
+                                stack="decoder", probs=False)
+        matrix, _ = pwcca_matrix(records)
+        feats = [records.features(layer, head)
+                 for layer in range(records.n_layers) for head in range(records.n_heads)]
+        loop = np.array([[pwcca(fi, fj) for fj in feats] for fi in feats])
+        np.testing.assert_allclose(matrix, loop, rtol=0, atol=1e-12)
+
+    def test_whitened_heads_share_one_array_and_its_gram(self):
+        cfg = tiny_config(dec_depth=2)
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(8, seed=8),
+                                stack="decoder", probs=False)
+        keys = [(1, 0), (0, 3), (0, 0)]
+        got = records.whiten_heads(keys)
+        assert list(got) == keys
+        base = got[keys[0]].u.base
+        for key in keys:
+            w, alone = got[key], whiten(records.features(*key))
+            assert w.u.base is base and w.gram is got[keys[0]].gram
+            np.testing.assert_array_equal(w.u, alone.u)
+            np.testing.assert_array_equal(w.proj, alone.proj)
+            for other in got.values():
+                np.testing.assert_allclose(w.gram[w.cols, other.cols], w.u.T @ other.u,
+                                           rtol=0, atol=1e-12)
 
 
 class TestWindowCorrelationSummary:

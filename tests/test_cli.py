@@ -1,12 +1,19 @@
 """CLI surface: exit codes, config validation, and the end-to-end plumbing."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from mwmae import cli
+from mwmae.analysis import StackRecords, entropy_table, pwcca, whiten
 from mwmae.cli import load_run_config, main
 from mwmae.container import load_tensors
 from mwmae.errors import ContractError
+from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
+
+from _toy import full_stack_taps
 
 # patch 20x16 over 200x80 -> 50 patches: smallest model that accepts real audio
 FAST_CONFIG = {
@@ -236,3 +243,65 @@ class TestScoreCommand:
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+class TestAnalyzeAt250Patches:
+    """`analyze` CSVs at the 200x80, 250-patch input against the untruncated
+    path: full-stack taps, and PWCCA from heads whitened once per pair of
+    calls with their own cross products."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("analyze250")
+        wav_dir = root / "wavs"
+        assert main(["synth", "--kind", "tone", "--n", "3", "--seed", "1",
+                     "--out", str(wav_dir)]) == 0
+        cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=2, enc_width=16, enc_heads=2,
+                        dec_depth=2, dec_width=16, seed=3)
+        save_checkpoint(root / "model.bin", cfg, MaeParams.init(cfg))
+        # the reference runs on the stored (float32-rounded) weights
+        _, params = load_checkpoint(root / "model.bin")
+        return root, wav_dir, cfg, params, cli._load_specs(str(wav_dir), cfg)
+
+    @staticmethod
+    def _analyze(root, wav_dir, metric, stack):
+        out = root / f"{metric}-{stack}.csv"
+        assert main(["analyze", metric, "--ckpt", str(root / "model.bin"),
+                     "--data", str(wav_dir), "--out", str(out), "--stack", stack]) == 0
+        with open(out, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_pwcca_matches_and_keeps_no_probabilities(self, setup, monkeypatch):
+        root, wav_dir, cfg, params, specs = setup
+        collected = []
+
+        def spy(*args, **kwargs):
+            collected.append(collect(*args, **kwargs))
+            return collected[-1]
+
+        collect = cli.collect_stack
+        monkeypatch.setattr(cli, "collect_stack", spy)
+        rows = self._analyze(root, wav_dir, "pwcca", "decoder")
+        (records,) = collected
+        assert all(tap.probs == [] for ex in records.taps for tap in ex)
+
+        ref = StackRecords(cfg.dec_depth, cfg.dec_heads,
+                           full_stack_taps(cfg, params, specs, "decoder"), cfg.n_p)
+        feats = [whiten(ref.features(layer, head))
+                 for layer in range(cfg.dec_depth) for head in range(cfg.dec_heads)]
+        want = np.array([[pwcca(a, b) for b in feats] for a in feats])
+        assert rows[0] == [""] + ref.labels()
+        got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stack", ["encoder", "decoder"])
+    def test_entropy_matches(self, setup, stack):
+        root, wav_dir, cfg, params, specs = setup
+        rows = self._analyze(root, wav_dir, "entropy", stack)
+        depth, heads = ((cfg.enc_depth, cfg.enc_heads) if stack == "encoder"
+                        else (cfg.dec_depth, cfg.dec_heads))
+        ref = StackRecords(depth, heads, full_stack_taps(cfg, params, specs, stack), cfg.n_p)
+        want = entropy_table(ref)
+        assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [w[:2] for w in want]
+        np.testing.assert_allclose([float(r[2]) for r in rows[1:]], [w[2] for w in want],
+                                   rtol=0, atol=1e-12)

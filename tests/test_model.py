@@ -28,7 +28,7 @@ from mwmae.model import (
 )
 from mwmae.tensor import Tensor, grad_check
 
-from _toy import param_grad_errors, tiny_config
+from _toy import full_stack_taps, param_grad_errors, tiny_config, toy_spectrograms
 
 
 class TestPatchify:
@@ -340,6 +340,44 @@ def test_eval_paths_match_composed_attention(monkeypatch):
             assert len(got.probs) == len(want.probs) == cfg.dec_heads
             for a, b in zip(got.probs + got.head_out, want.probs + want.head_out):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stack", ["encoder", "decoder"])
+@pytest.mark.parametrize("make_cfg", [tiny_config,
+                                      lambda: _config_250(enc_depth=2, dec_depth=2)],
+                         ids=["tiny", "250"])
+def test_truncated_stacks_tap_what_the_full_stack_taps(make_cfg, stack):
+    cfg = make_cfg()
+    params = MaeParams.init(cfg)
+    specs = list(np.random.default_rng(22).normal(size=(2, cfg.input_t, cfg.input_f)))
+    got = collect_stack(cfg, params, specs, stack=stack).taps
+    want = full_stack_taps(cfg, params, specs, stack)
+    depth = cfg.enc_depth if stack == "encoder" else cfg.dec_depth
+    for ex_got, ex_want in zip(got, want, strict=True):
+        assert len(ex_got) == len(ex_want) == depth
+        for g, w in zip(ex_got, ex_want):
+            assert len(g.probs) == len(w.probs) == len(g.head_out) == len(w.head_out) > 0
+            for a, b in zip(g.probs + g.head_out, w.probs + w.head_out):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("stack,want", [
+    # embed; two full blocks (2 norms, 2 MLP linears, 1 GELU each); ln1 of the last
+    ("encoder", {"layer_norm": 5, "linear": 5, "gelu": 2}),
+    # the full encoder (7 norms, 7 linears, 3 GELUs), the latent projection,
+    # two full decoder blocks and ln1 of the last: no final norm, no head
+    ("decoder", {"layer_norm": 12, "linear": 12, "gelu": 5}),
+])
+def test_taps_run_nothing_after_the_last_attention(monkeypatch, stack, want):
+    cfg = tiny_config(enc_depth=3, dec_depth=3)
+    calls = dict.fromkeys(want, 0)
+    for name in want:
+        def counted(*args, _name=name, _fn=getattr(T, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(T, name, counted)
+    collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(1), stack=stack)
+    assert calls == want
 
 
 class TestEndToEndGradients:
