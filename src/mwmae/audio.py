@@ -164,24 +164,3 @@ def crop_or_pad(spec: np.ndarray, target_t: int, seed: int) -> np.ndarray:
         return out
     return spec.copy()
 
-
-def cache_spectrograms(wav_dir: str | Path, out_path: str | Path) -> int:
-    """Standardized log-mel spectrograms for a WAV tree, keyed by relative path."""
-    from .container import save_tensors
-
-    wav_dir = Path(wav_dir)
-    paths = sorted(wav_dir.rglob("*.wav"))
-    if not paths:
-        raise ContractError(f"no .wav files under {wav_dir}")
-    specs = {
-        str(p.relative_to(wav_dir)): standardize(logmel(load_wav(p)))
-        for p in paths
-    }
-    save_tensors(out_path, specs)
-    return len(specs)
-
-
-def load_cached_spectrograms(path: str | Path) -> dict[str, np.ndarray]:
-    from .container import load_tensors
-
-    return load_tensors(path)

@@ -8,6 +8,8 @@ layer-norm parameters and the mask token.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import atomic_file
 from .errors import ContractError, TrainingDivergedError
 from .model import MaeConfig, MaeParams, mae_forward, save_checkpoint
 from .tensor import Tensor
@@ -196,6 +199,30 @@ class WavSpecDataset:
         return self._crop(self.full_specs[index], self.input_t, crop_seed)
 
 
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed step temporaries in this process's heap (glibc only).
+
+    By default glibc serves large arrays from their own mmap and trims the
+    heap top on free, so every step returns its MB-sized score arrays to
+    the kernel and faults them in again. Arrays up to 32 MiB now come from
+    the heap, and the heap keeps up to 64 MiB of free space at its top.
+    This changes no arithmetic. It holds for the whole process and is set
+    once; where there is no glibc `mallopt` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _mask_seed(train_seed: int, step: int, position: int) -> int:
     return int(np.random.SeedSequence([train_seed, step, position]).generate_state(1)[0])
 
@@ -233,6 +260,7 @@ def train(
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
 
+    _keep_freed_memory()
     if params is None:
         params = MaeParams.init(mae_cfg)
     named = params.named()
@@ -308,4 +336,5 @@ def train(
 
 def _flush_csv(loss_csv, rows) -> None:
     if loss_csv is not None:
-        Path(loss_csv).write_text("\n".join(rows) + "\n")
+        with atomic_file(loss_csv) as fh:
+            fh.write(("\n".join(rows) + "\n").encode())

@@ -160,24 +160,6 @@ class TestStandardize:
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
 
-class TestSpectrogramCache:
-    def test_roundtrip_keys_and_values(self, tmp_path):
-        from mwmae.audio import cache_spectrograms, load_cached_spectrograms
-
-        wav_dir = tmp_path / "wavs"
-        wav_dir.mkdir()
-        rng = np.random.default_rng(6)
-        for name in ("a.wav", "b.wav"):
-            save_wav(wav_dir / name, AudioClip(rng.normal(0, 0.1, SAMPLE_RATE)))
-        cache = tmp_path / "specs.bin"
-        n = cache_spectrograms(wav_dir, cache)
-        assert n == 2
-        specs = load_cached_spectrograms(cache)
-        assert set(specs) == {"a.wav", "b.wav"}
-        expected = standardize(logmel(load_wav(wav_dir / "a.wav")))
-        np.testing.assert_allclose(specs["a.wav"], expected, atol=1e-5)
-
-
 class TestCropOrPad:
     def test_crop_start_depends_on_seed_only(self):
         spec = np.arange(201 * 4, dtype=float).reshape(201, 4)

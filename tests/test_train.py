@@ -1,14 +1,23 @@
 """Optimizer numerics, learning-rate schedule, and the training loop."""
 
+import ctypes
+import errno
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from mwmae import container
 from mwmae.errors import ContractError, TrainingDivergedError
 from mwmae.model import MaeParams, load_checkpoint, mae_forward
 from mwmae.tensor import Tensor
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
+    _flush_csv,
+    _keep_freed_memory,
     adamw_step,
     effective_lr,
     lr_at,
@@ -319,3 +328,111 @@ class TestTrainLoop:
               out_ckpt=ckpt)
         cfg, params = load_checkpoint(ckpt)
         assert cfg.n_p == 16
+
+
+class TestLossCsvWrite:
+    def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "loss.csv"
+        _flush_csv(path, ["step,epoch,lr,loss", "0,0,0.0,1.5"])
+        old = path.read_bytes()
+
+        class FailsMidway:
+            """A file that takes half of a write, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        monkeypatch.setattr(container, "open", lambda p, mode: FailsMidway(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            _flush_csv(path, ["step,epoch,lr,loss", "0,0,0.0,1.5", "1,0,0.1,1.25"])
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]
+
+
+@pytest.fixture
+def unset_malloc_helper():
+    """Let `_keep_freed_memory` run again, before and after the test."""
+    _keep_freed_memory.cache_clear()
+    yield
+    _keep_freed_memory.cache_clear()
+
+
+# A seeded run at 250 patches, whose (8, 250, 250) score arrays glibc serves
+# from mmap by default. argv: output directory, then "stub" or "real".
+_SEEDED_RUN = """
+import importlib, sys
+import numpy as np
+from mwmae.model import MaeConfig
+from mwmae.train import TrainConfig
+tm = importlib.import_module("mwmae.train")
+if sys.argv[2] == "stub":
+    tm._keep_freed_memory = lambda: None
+rng = np.random.default_rng(0)
+specs = [rng.normal(size=(200, 80)) for _ in range(8)]
+cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
+                dec_depth=1, dec_width=16, seed=0)
+tc = TrainConfig(base_lr=0.1, batch_size=8, warmup_epochs=1, total_epochs=4, seed=0)
+out = sys.argv[1]
+tm.train(specs, cfg, tc, out_ckpt=out + "/m.ckpt", loss_csv=out + "/loss.csv")
+"""
+
+
+class TestKeepFreedMemory:
+    """`train()` sets glibc's mmap and trim thresholds once per process."""
+
+    @pytest.mark.parametrize("exc", [OSError, TypeError])
+    def test_no_op_when_libc_cannot_load(self, monkeypatch, unset_malloc_helper, exc):
+        def cdll(name):
+            raise exc("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        _keep_freed_memory()
+
+    def test_no_op_without_mallopt(self, monkeypatch, unset_malloc_helper):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        _keep_freed_memory()
+
+    def test_second_train_call_sets_nothing(self, monkeypatch, unset_malloc_helper):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        def cdll(name):
+            assert name is None  # the running process, not a library search
+            return Libc()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        specs = toy_spectrograms(8, seed=6)
+        for _ in range(2):
+            train(specs, tiny_config(), toy_train_config(total_epochs=6), max_steps=1)
+        # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_changes_no_arithmetic(self, tmp_path):
+        # Each run gets a fresh process, so the stubbed one keeps glibc's
+        # default thresholds.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        outputs = []
+        for mode in ("stub", "real"):
+            out = tmp_path / mode
+            out.mkdir()
+            subprocess.run([sys.executable, "-c", _SEEDED_RUN, str(out), mode],
+                           env=env, check=True)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
+        assert outputs[0] == outputs[1]
