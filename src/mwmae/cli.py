@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import fields
@@ -19,29 +20,49 @@ import numpy as np
 
 from .analysis import PatchGrid, collect_stack, distance_table, entropy_table, pwcca_matrix
 from .audio import crop_or_pad, load_wav, logmel, standardize
-from .container import load_tensors, save_tensors
+from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
-from .model import MaeConfig, load_checkpoint
+from .model import MaeConfig, check_config_field, load_checkpoint
 from .synth import default_spec, gen_corpus, read_labels, KINDS
 from .train import TrainConfig, WavSpecDataset, train
 
-_MAE_KEYS = {f.name for f in fields(MaeConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_EXTRA_KEYS = {"max_steps"}
+_MAE_DEFAULTS = {f.name: f.default for f in fields(MaeConfig)}
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+# Int fields where 0 is meaningful; every other int field must be >= 1.
+_ZERO_OK = {"seed", "warmup_epochs", "ckpt_every_epochs"}
 
 
 def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | None]:
-    """Flat JSON union of model and training fields; one shared seed."""
-    raw = json.loads(Path(path).read_text())
+    """Flat JSON union of model and training fields; one shared seed.
+
+    Every value is type-checked before any config is built, with the rules
+    of a checkpoint's sidecar (`model.check_config_field`); `betas` is two
+    numbers and `max_steps` an int >= 1 or null. A bad value raises ContractError
+    naming the field.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"{path}: config is not JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ContractError("config must be a JSON object")
-    allowed = _MAE_KEYS | _TRAIN_KEYS | _EXTRA_KEYS
-    unknown = sorted(set(raw) - allowed)
+    # A default's type sets the rule for the field's value.
+    defaults = {**_MAE_DEFAULTS, **_TRAIN_DEFAULTS, "max_steps": 1}
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ContractError(f"unknown config keys: {unknown}")
-    mae_kwargs = {k: raw[k] for k in raw if k in _MAE_KEYS}
-    train_kwargs = {k: raw[k] for k in raw if k in _TRAIN_KEYS}
+    for name, value in raw.items():
+        if name == "betas":
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ContractError(f"{path}: field 'betas' must be two numbers, got {value!r}")
+            for b in value:
+                check_config_field(path, name, b, 0.0)
+        elif not (name == "max_steps" and value is None):  # null: no step cap
+            check_config_field(path, name, value, defaults[name],
+                               low=0 if name in _ZERO_OK else 1)
+    mae_kwargs = {k: raw[k] for k in raw if k in _MAE_DEFAULTS}
+    train_kwargs = {k: raw[k] for k in raw if k in _TRAIN_DEFAULTS}
     if "betas" in train_kwargs:
         train_kwargs["betas"] = tuple(train_kwargs["betas"])
     mae_cfg = MaeConfig(**mae_kwargs)
@@ -143,7 +164,7 @@ def _cmd_probe(args) -> int:
         "best_epoch": result.best_epoch,
         "epochs_ran": result.epochs_ran,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     _log(f"{result.metric_name}: test {result.test_metric:.4f}")
     return 0
 
@@ -153,24 +174,28 @@ def _cmd_analyze(args) -> int:
     specs = _load_specs(args.data, cfg)
     stack = args.stack or ("decoder" if args.metric == "pwcca" else "encoder")
     records = collect_stack(cfg, params, specs, stack=stack, probs=args.metric != "pwcca")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if args.metric == "pwcca":
-            matrix, names = pwcca_matrix(records)
-            writer.writerow([""] + names)
-            for name, row in zip(names, matrix):
-                writer.writerow([name] + [repr(float(v)) for v in row])
+    if args.metric == "pwcca":
+        matrix, names = pwcca_matrix(records)
+        rows = [[""] + names]
+        rows += [[name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)]
+    else:
+        if args.metric == "entropy":
+            table = entropy_table(records)
         else:
-            writer.writerow(["layer", "head", "value"])
-            if args.metric == "entropy":
-                table = entropy_table(records)
-            else:
-                grid = PatchGrid(cfg.grid_t, cfg.grid_f)
-                table = distance_table(records, grid)
-            for layer, head, value in table:
-                writer.writerow([layer, head, repr(value)])
+            table = distance_table(records, PatchGrid(cfg.grid_t, cfg.grid_f))
+        rows = [["layer", "head", "value"]]
+        rows += [[layer, head, repr(value)] for layer, head, value in table]
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _write_text(args.out, text.getvalue())
     _log(f"wrote {args.metric} ({stack}) to {args.out}")
     return 0
+
+
+def _write_text(path, text: str) -> None:
+    """Replace `path` whole, or on any error leave it as it was."""
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _cmd_score(args) -> int:
@@ -195,7 +220,7 @@ def _cmd_score(args) -> int:
         higher_is_better=[t not in lower for t in tasks],
     )
     payload = {"scores": {m: overall_score(table, m) for m in models}}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log(f"scored {len(models)} models over {len(tasks)} tasks")
     return 0
 

@@ -9,7 +9,7 @@ Positional tables are fixed sinusoids added before the visibility gather.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -329,6 +329,16 @@ class MaeParams:
         out["head.b"] = self.head_b
         return out
 
+    def replica(self) -> "MaeParams":
+        """The same parameters under fresh leaf Tensors, for a second graph.
+
+        Each leaf shares its `.data` array with this one but keeps its own
+        `.grad`, so two graphs can backpropagate at once without writing to
+        a common Tensor. An in-place update of the data, as `adamw_step`
+        makes, reaches both; rebinding a leaf's `.data` reaches only one.
+        """
+        return _share_leaves(self)
+
     def no_decay_names(self) -> set[str]:
         """Layer-norm gains/biases and the mask token are exempt from weight decay."""
         names = {"mask_token"}
@@ -336,6 +346,20 @@ class MaeParams:
             if ".ln1." in name or ".ln2." in name or ".norm." in name:
                 names.add(name)
         return names
+
+
+def _share_leaves(obj):
+    """Copy of a parameter tree with a new Tensor over each leaf's array."""
+    if isinstance(obj, Tensor):
+        leaf = Tensor(obj.data, requires_grad=obj.requires_grad)
+        leaf.data = obj.data  # the same array, whatever its dtype
+        return leaf
+    if isinstance(obj, list):
+        return [_share_leaves(o) for o in obj]
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: _share_leaves(getattr(obj, f.name))
+                               for f in fields(obj)})
+    return obj  # the positional tables: read-only, shared as they are
 
 
 @dataclass
@@ -495,6 +519,22 @@ def save_checkpoint(path: str | Path, cfg: MaeConfig, params: MaeParams) -> None
         fh.write(sidecar.encode("utf-8"))
 
 
+def check_config_field(source, name: str, value, default, low: int = 1) -> None:
+    """Reject a JSON config value that does not fit its field's default.
+
+    A float field takes an int or a float, an int field only an int of at
+    least `low`; a bool is never a number. The ContractError names the
+    source and the field.
+    """
+    kinds = (int, float) if isinstance(default, float) else int
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ContractError(
+            f"{source}: field {name!r} must be {type(default).__name__}, got {value!r}"
+        )
+    if isinstance(default, int) and value < low:
+        raise ContractError(f"{source}: field {name!r} must be >= {low}, got {value}")
+
+
 def _load_config(sidecar: Path) -> MaeConfig:
     """Read a checkpoint's JSON sidecar into a MaeConfig.
 
@@ -521,16 +561,7 @@ def _load_config(sidecar: Path) -> MaeConfig:
             f"missing fields {missing}"
         )
     for name, default in defaults.items():
-        value = raw[name]
-        kinds = (int, float) if isinstance(default, float) else int
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ContractError(
-                f"{sidecar}: field {name!r} must be {type(default).__name__}, "
-                f"got {value!r}"
-            )
-        low = 0 if name == "seed" else 1
-        if isinstance(default, int) and value < low:
-            raise ContractError(f"{sidecar}: field {name!r} must be >= {low}, got {value}")
+        check_config_field(sidecar, name, raw[name], default, low=0 if name == "seed" else 1)
     try:
         return MaeConfig(**raw)
     except ContractError as e:

@@ -6,6 +6,7 @@ spectrograms are noisy mixtures of a few fixed prototypes, so masked
 reconstruction has real structure to learn.
 """
 
+import errno
 import importlib
 
 import numpy as np
@@ -127,3 +128,20 @@ def full_stack_taps(cfg, params, specs, stack: str) -> list[list[HeadTap]]:
                 for name, fn in saved.items():
                     setattr(model, name, fn)
     return taps
+
+
+class FailsMidway:
+    """A file that takes half of a write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)

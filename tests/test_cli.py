@@ -6,14 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from mwmae import cli
+from mwmae import cli, container
 from mwmae.analysis import StackRecords, entropy_table, pwcca, whiten
 from mwmae.cli import load_run_config, main
 from mwmae.container import load_tensors
 from mwmae.errors import ContractError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
 
-from _toy import full_stack_taps
+from _toy import FailsMidway, full_stack_taps
 
 # patch 20x16 over 200x80 -> 50 patches: smallest model that accepts real audio
 FAST_CONFIG = {
@@ -61,6 +61,29 @@ class TestRunConfig:
         path = _write_config(tmp_path, mask_ratio=1.0)
         with pytest.raises(ContractError, match="mask_ratio"):
             load_run_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", "4"),
+        ("max_steps", 0),
+        ("seed", True),
+        ("batch_size", "8"),
+        ("mask_ratio", "0.5"),
+        ("betas", 5),
+        ("betas", [0.9, "0.999"]),
+    ])
+    def test_wrong_type_names_field(self, tmp_path, field, value):
+        path = _write_config(tmp_path, **{field: value})
+        with pytest.raises(ContractError, match=field):
+            load_run_config(path)
+
+    def test_not_json_names_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 0,')
+        with pytest.raises(ContractError, match="config.json.*not JSON"):
+            load_run_config(path)
+
+    def test_null_max_steps_means_no_cap(self, tmp_path):
+        assert load_run_config(_write_config(tmp_path, max_steps=None))[2] is None
 
 
 class TestExitCodes:
@@ -216,6 +239,39 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "step      0" in captured.err
+
+
+class TestAtomicOutputs:
+    def test_failed_analysis_keeps_previous_csv(self, pipeline, tmp_path, monkeypatch):
+        _, wav_dir, ckpt, _, _ = pipeline
+        out = tmp_path / "pwcca.csv"
+        argv = ["analyze", "pwcca", "--ckpt", str(ckpt), "--data", str(wav_dir),
+                "--out", str(out)]
+        assert main(argv) == 0
+        old = out.read_bytes()
+
+        def broken(records):
+            raise RuntimeError("analysis failed")
+
+        monkeypatch.setattr(cli, "pwcca_matrix", broken)
+        assert main(argv) == 1
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["pwcca.csv"]
+
+    def test_failed_score_write_keeps_previous_json(self, tmp_path, monkeypatch):
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        (metrics / "a.json").write_text(json.dumps({"tasks": {"t1": 1.0}}))
+        (metrics / "b.json").write_text(json.dumps({"tasks": {"t1": 2.0}}))
+        out = tmp_path / "scores.json"
+        out.write_text("previous\n")
+        monkeypatch.setattr(container, "open", lambda p, mode: FailsMidway(open(p, mode)),
+                            raising=False)
+        code = main(["score", "--metrics-dir", str(metrics), "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 1
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics", "scores.json"]
 
 
 class TestScoreCommand:

@@ -414,6 +414,26 @@ class TestMaeConfig:
         assert (cfg.grid_t, cfg.grid_f) == (50, 5)
 
 
+class TestReplica:
+    def test_shares_arrays_not_leaves(self):
+        params = MaeParams.init(tiny_config())
+        replica = params.replica()
+        named, twin = params.named(), replica.named()
+        assert list(twin) == list(named)
+        for k, t in named.items():
+            assert twin[k] is not t and twin[k].data is t.data and twin[k].requires_grad
+        assert replica.enc_pos is params.enc_pos and replica.dec_pos is params.dec_pos
+
+    def test_backward_writes_only_its_own_leaves(self):
+        cfg = tiny_config()
+        params = MaeParams.init(cfg)
+        replica = params.replica()
+        spec = np.random.default_rng(3).normal(size=(8, 8))
+        mae_forward(spec, cfg, replica, seed=1).loss.backward()
+        assert all(t.grad is None for t in params.named().values())
+        assert all(t.grad is not None for t in replica.named().values())
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()

@@ -1,30 +1,33 @@
 """Optimizer numerics, learning-rate schedule, and the training loop."""
 
 import ctypes
-import errno
+import importlib
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from mwmae import container
 from mwmae.errors import ContractError, TrainingDivergedError
-from mwmae.model import MaeParams, load_checkpoint, mae_forward
+from mwmae.model import MaeConfig, MaeParams, load_checkpoint, mae_forward
 from mwmae.tensor import Tensor
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
     _flush_csv,
     _keep_freed_memory,
+    _mask_seed,
+    _shard_bounds,
     adamw_step,
     effective_lr,
     lr_at,
     train,
 )
 
-from _toy import tiny_config, toy_spectrograms, toy_train_config
+from _toy import FailsMidway, tiny_config, toy_spectrograms, toy_train_config
 
 
 class TestEffectiveLr:
@@ -335,23 +338,6 @@ class TestLossCsvWrite:
         path = tmp_path / "loss.csv"
         _flush_csv(path, ["step,epoch,lr,loss", "0,0,0.0,1.5"])
         old = path.read_bytes()
-
-        class FailsMidway:
-            """A file that takes half of a write, then fails like a full disk."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
         monkeypatch.setattr(container, "open", lambda p, mode: FailsMidway(open(p, mode)),
                             raising=False)
         with pytest.raises(OSError):
@@ -420,8 +406,8 @@ class TestKeepFreedMemory:
         specs = toy_spectrograms(8, seed=6)
         for _ in range(2):
             train(specs, tiny_config(), toy_train_config(total_epochs=6), max_steps=1)
-        # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB, M_ARENA_MAX = 1
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
 
     def test_changes_no_arithmetic(self, tmp_path):
         # Each run gets a fresh process, so the stubbed one keeps glibc's
@@ -436,3 +422,138 @@ class TestKeepFreedMemory:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
         assert outputs[0] == outputs[1]
+
+
+# The package re-exports the function `train` under the module's name.
+train_module = importlib.import_module("mwmae.train")
+
+
+def pipeline_config() -> MaeConfig:
+    """250 patches (decoder windows 2 ... 250), narrow enough for tests."""
+    return MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
+                     dec_depth=1, dec_width=16, seed=0)
+
+
+def pipeline_train_config() -> TrainConfig:
+    return TrainConfig(base_lr=0.1, batch_size=8, warmup_epochs=1, total_epochs=4, seed=0)
+
+
+def pipeline_specs(n: int = 8) -> list[np.ndarray]:
+    rng = np.random.default_rng(0)
+    return [rng.normal(size=(200, 80)) for _ in range(n)]
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Record the mask seeds of every `mae_forward` call that `train` makes."""
+    calls = []
+    real = train_module.mae_forward
+
+    def spy(spec, cfg, params, seed):
+        calls.append(list(seed))
+        return real(spec, cfg, params, seed=seed)
+
+    monkeypatch.setattr(train_module, "mae_forward", spy)
+    return calls
+
+
+class TestShardedStep:
+    """A large minibatch runs as two fixed half-batch graphs, one per thread."""
+
+    def test_gate(self):
+        assert _shard_bounds(8, pipeline_config()) == [(0, 4), (4, 8)]
+        assert _shard_bounds(7, pipeline_config()) == [(0, 4), (4, 7)]
+        assert _shard_bounds(1, pipeline_config()) == [(0, 1)]
+        assert _shard_bounds(8, tiny_config()) == [(0, 8)]
+
+    def test_matches_one_full_batch_graph(self, monkeypatch, forward_calls):
+        cfg, tc, specs = pipeline_config(), pipeline_train_config(), pipeline_specs()
+        got = {}
+
+        def capture(params, grads, state, lr, cfg, no_decay):
+            got.update({k: g.copy() for k, g in grads.items()})
+
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(train_module, "adamw_step", capture)
+        result = train(specs, cfg, tc, max_steps=1)
+        seeds = [_mask_seed(tc.seed, 0, j) for j in range(8)]
+        assert sorted(forward_calls) == sorted([seeds[:4], seeds[4:]])
+
+        order = np.random.default_rng(tc.seed).permutation(8)
+        params = MaeParams.init(cfg)
+        loss = mae_forward(np.stack([specs[i] for i in order]), cfg, params, seed=seeds).loss
+        loss.backward()
+        assert abs(result.losses[0] - loss.item()) <= 1e-12 * loss.item()
+        named = params.named()
+        assert list(got) == list(named)
+        for k, t in named.items():
+            assert np.max(np.abs(got[k] - t.grad)) <= 1e-12 * max(1.0, np.abs(t.grad).max()), k
+
+    def test_seeded_run_is_byte_identical_for_any_worker_count(self, tmp_path, monkeypatch,
+                                                                forward_calls):
+        outputs = []
+        for run, cores in enumerate([2, 2, 1]):
+            monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+            out = tmp_path / str(run)
+            out.mkdir()
+            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(),
+                  out_ckpt=out / "m.ckpt", loss_csv=out / "loss.csv", max_steps=3)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(forward_calls) == 3 * 3 * 2
+        assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_tiny_config_never_shards(self, forward_calls):
+        specs = toy_spectrograms(16, seed=7)
+        train(specs, tiny_config(), toy_train_config(), max_steps=3)
+        assert forward_calls == [[_mask_seed(1, step, j) for j in range(8)]
+                                 for step in range(3)]
+
+    def test_non_finite_shard_loss_changes_nothing(self, monkeypatch):
+        tc = pipeline_train_config()
+        real = train_module.mae_forward
+        poisoned = _mask_seed(tc.seed, 1, 4)  # the second shard of step 1
+
+        def forward(spec, cfg, params, seed):
+            if seed[0] == poisoned:
+                spec = np.full_like(spec, np.nan)
+            return real(spec, cfg, params, seed=seed)
+
+        after_first = {}
+        real_adamw = train_module.adamw_step
+
+        def adamw(params, grads, state, lr, cfg, no_decay):
+            real_adamw(params, grads, state, lr, cfg, no_decay=no_decay)
+            after_first.update(state=state, m=state.m.copy(), v=state.v.copy(),
+                               params={k: t.data.copy() for k, t in params.items()})
+
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        monkeypatch.setattr(train_module, "adamw_step", adamw)
+        params = MaeParams.init(pipeline_config())
+        with pytest.raises(TrainingDivergedError, match="step 1"):
+            train(pipeline_specs(16), pipeline_config(), tc, params=params)
+        state = after_first["state"]
+        assert state.step == 1
+        assert np.array_equal(state.m, after_first["m"])
+        assert np.array_equal(state.v, after_first["v"])
+        for k, t in params.named().items():
+            assert np.array_equal(t.data, after_first["params"][k]), k
+
+    def test_error_inside_shard_reaches_caller(self, monkeypatch):
+        class ShardFailure(Exception):
+            pass
+
+        failing = _mask_seed(0, 0, 4)
+
+        def forward(spec, cfg, params, seed):
+            if seed[0] == failing:
+                raise ShardFailure("shard 1")
+            return mae_forward(spec, cfg, params, seed=seed)
+
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        threads = threading.active_count()
+        with pytest.raises(ShardFailure, match="shard 1"):
+            train(pipeline_specs(), pipeline_config(), pipeline_train_config())
+        assert threading.active_count() == threads  # the pool died with the call
