@@ -351,9 +351,7 @@ class MaeParams:
 def _share_leaves(obj):
     """Copy of a parameter tree with a new Tensor over each leaf's array."""
     if isinstance(obj, Tensor):
-        leaf = Tensor(obj.data, requires_grad=obj.requires_grad)
-        leaf.data = obj.data  # the same array, whatever its dtype
-        return leaf
+        return Tensor(obj.data, requires_grad=obj.requires_grad)
     if isinstance(obj, list):
         return [_share_leaves(o) for o in obj]
     if is_dataclass(obj):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -251,13 +250,6 @@ def _shard_bounds(batch: int, cfg: MaeConfig) -> list[tuple[int, int]]:
     return [(0, half), (half, batch)]
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _shard_loss(specs, seeds, cfg: MaeConfig, params: MaeParams, share: float) -> float:
     """Forward and, if the loss is finite, backward of one shard.
 
@@ -302,10 +294,9 @@ def train(
 
     A large enough minibatch is split into two fixed shards (see
     `_shard_bounds`), each with its own graph against its own replica of
-    the parameter leaves. With two usable cores the shards run on two
-    threads; otherwise in order. Their gradients are summed in shard order
-    before the one AdamW step, so the numbers do not depend on the core
-    count.
+    the parameter leaves, on two pool threads. Their gradients are summed
+    in shard order before the one AdamW step, so the numbers do not depend
+    on which thread or core runs a shard.
     """
     if not hasattr(dataset, "spec"):
         dataset = SpectrogramDataset(dataset)
@@ -328,7 +319,6 @@ def train(
     # which stay current because adamw_step updates `.data` in place.
     shard_params = [params] + [params.replica() for _ in shards[1:]]
     shard_named = [named] + [p.named() for p in shard_params[1:]]
-    workers = min(len(shards), _usable_cores())
     state = OptimizerState.init(named)
     order_rng = np.random.default_rng(train_cfg.seed)
 
@@ -353,9 +343,10 @@ def train(
                     )
         save_checkpoint(out_ckpt, mae_cfg, params)
 
-    # The pool starts its threads on first use, so a one-shard run has none.
+    # The pool starts its threads on first use, so a one-shard run, which
+    # keeps its graph on the calling thread, has none.
     with ThreadPoolExecutor(max_workers=2) as pool:
-        run_shards = pool.map if workers > 1 else map
+        run_shards = pool.map if len(shards) > 1 else map
         for epoch in range(train_cfg.total_epochs):
             order = order_rng.permutation(n)
             for b in range(steps_per_epoch):

@@ -473,7 +473,6 @@ class TestShardedStep:
         def capture(params, grads, state, lr, cfg, no_decay):
             got.update({k: g.copy() for k, g in grads.items()})
 
-        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
         monkeypatch.setattr(train_module, "adamw_step", capture)
         result = train(specs, cfg, tc, max_steps=1)
         seeds = [_mask_seed(tc.seed, 0, j) for j in range(8)]
@@ -489,11 +488,9 @@ class TestShardedStep:
         for k, t in named.items():
             assert np.max(np.abs(got[k] - t.grad)) <= 1e-12 * max(1.0, np.abs(t.grad).max()), k
 
-    def test_seeded_run_is_byte_identical_for_any_worker_count(self, tmp_path, monkeypatch,
-                                                                forward_calls):
+    def test_seeded_run_is_byte_identical(self, tmp_path, forward_calls):
         outputs = []
-        for run, cores in enumerate([2, 2, 1]):
-            monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+        for run in range(3):
             out = tmp_path / str(run)
             out.mkdir()
             train(pipeline_specs(16), pipeline_config(), pipeline_train_config(),
@@ -527,7 +524,6 @@ class TestShardedStep:
             after_first.update(state=state, m=state.m.copy(), v=state.v.copy(),
                                params={k: t.data.copy() for k, t in params.items()})
 
-        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
         monkeypatch.setattr(train_module, "mae_forward", forward)
         monkeypatch.setattr(train_module, "adamw_step", adamw)
         params = MaeParams.init(pipeline_config())
@@ -551,7 +547,6 @@ class TestShardedStep:
                 raise ShardFailure("shard 1")
             return mae_forward(spec, cfg, params, seed=seed)
 
-        monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
         monkeypatch.setattr(train_module, "mae_forward", forward)
         threads = threading.active_count()
         with pytest.raises(ShardFailure, match="shard 1"):
