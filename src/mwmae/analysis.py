@@ -2,8 +2,6 @@
 
 Entropy and mean attention distance summarize where a head puts its
 probability mass; projection-weighted CCA compares what two heads compute.
-Windowed heads are analyzed through their block-diagonal full-length
-attention matrices, so every metric shares one n x n convention.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import HeadTap, block_diagonal_probs
+from .attention import HeadTap
 from .errors import ContractError, DegenerateInputError
 from .model import (
     MaeConfig,
@@ -28,7 +26,8 @@ from .tensor import no_grad
 
 @dataclass
 class AttnRecord:
-    """Attention probabilities for one head: one n x n matrix per example."""
+    """Attention probabilities for one head, one array per example: (n, n),
+    or the (..., n/win, win, win) window layout `win_attention` taps."""
 
     layer: int
     head: int
@@ -36,6 +35,8 @@ class AttnRecord:
 
     def __post_init__(self):
         for p in self.probs:
+            if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
+                raise ContractError(f"attention windows must be square, got {p.shape}")
             if np.any(p < -1e-12):
                 raise ContractError("attention probabilities must be non-negative")
             rows = p.sum(axis=-1)
@@ -58,10 +59,12 @@ class PatchGrid:
         idx = np.arange(self.n_p)
         return np.stack([idx // self.grid_f, idx % self.grid_f], axis=1).astype(np.float64)
 
-    def distances(self) -> np.ndarray:
-        """n_p x n_p Euclidean distances between patch positions."""
-        pos = self.positions()
-        return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    def distances(self, win: int) -> np.ndarray:
+        """Euclidean distances between the patches of each window of `win`
+        consecutive patches, (n_p/win, win, win); `win = n_p` gives the
+        full table as (1, n_p, n_p). Windows may wrap across grid rows."""
+        pos = self.positions().reshape(-1, win, 2)
+        return np.linalg.norm(pos[:, :, None, :] - pos[:, None, :, :], axis=-1)
 
 
 def attention_entropy(rec: AttnRecord) -> float:
@@ -78,17 +81,19 @@ def attention_entropy(rec: AttnRecord) -> float:
 
 
 def mean_attention_distance(rec: AttnRecord, grid: PatchGrid) -> float:
-    """Attention-weighted Euclidean distance on the patch grid, in patch units."""
-    return _mean_distance(rec, grid.distances())
+    """Attention-weighted Euclidean distance on the patch grid, in patch units.
 
-
-def _mean_distance(rec: AttnRecord, dist: np.ndarray) -> float:
-    per_example = []
+    The window size is P's last axis; distances come in P's window layout.
+    """
+    per_example, dist = [], None
     for p in rec.probs:
-        if p.shape[0] != dist.shape[0]:
+        *_, m, win, _ = (1, *p.shape)  # an (n, n) P is one window of n
+        if m * win != grid.n_p:
             raise ContractError(
-                f"attention is {p.shape[0]} tokens but grid has {dist.shape[0]} patches"
+                f"attention is {m * win} tokens but grid has {grid.n_p} patches"
             )
+        if dist is None or dist.shape[-1] != win:
+            dist = grid.distances(win)
         per_example.append((p * dist).sum(axis=-1).mean())
     return float(np.mean(per_example))
 
@@ -199,10 +204,7 @@ class StackRecords:
     def record(self, layer: int, head: int) -> AttnRecord:
         if not self.taps[0][layer].probs:
             raise ContractError("records were collected without attention probabilities")
-        probs = [
-            block_diagonal_probs(ex[layer].probs[head], self.n_tokens)
-            for ex in self.taps
-        ]
+        probs = [ex[layer].probs[head] for ex in self.taps]
         return AttnRecord(layer=layer, head=head, probs=probs)
 
     def features(self, layer: int, head: int) -> np.ndarray:
@@ -288,9 +290,8 @@ def entropy_table(records: StackRecords) -> list[tuple[int, int, float]]:
 
 
 def distance_table(records: StackRecords, grid: PatchGrid) -> list[tuple[int, int, float]]:
-    dist = grid.distances()
     return [
-        (layer, head, _mean_distance(records.record(layer, head), dist))
+        (layer, head, mean_attention_distance(records.record(layer, head), grid))
         for layer in range(records.n_layers)
         for head in range(records.n_heads)
     ]

@@ -224,15 +224,3 @@ def mha(x: Tensor, params: AttentionParams, tap: HeadTap | None = None) -> Tenso
     n = x.shape[-2]
     return mw_mha(x, params, global_schedule(n, params.n_heads), tap=tap)
 
-
-def block_diagonal_probs(window_probs: np.ndarray, n: int) -> np.ndarray:
-    """Embed per-window attention (m, win, win) as a row-stochastic n x n matrix."""
-    if window_probs.ndim == 2:
-        return window_probs
-    m, win, _ = window_probs.shape
-    if m * win != n:
-        raise ContractError(f"cannot embed {window_probs.shape} into {n}x{n}")
-    full = np.zeros((n, n))
-    for b in range(m):
-        full[b * win:(b + 1) * win, b * win:(b + 1) * win] = window_probs[b]
-    return full

@@ -46,20 +46,32 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
+def wav_paths(wav_dir: str | Path) -> list[Path]:
+    """Every .wav file under `wav_dir`, recursively, in sorted order."""
+    paths = sorted(Path(wav_dir).rglob("*.wav"))
+    if not paths:
+        raise ContractError(f"no .wav files under {wav_dir}")
+    return paths
+
+
 def load_wav(path: str | Path) -> AudioClip:
-    """Read a RIFF/WAVE file; must be PCM16, mono, 16 kHz."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getcomptype() != "NONE":
-            raise AudioFormatError(f"compression: expected PCM, got {wf.getcomptype()!r}")
-        if wf.getsampwidth() != 2:
-            raise AudioFormatError(f"sample_width: expected 2 bytes, got {wf.getsampwidth()}")
-        if wf.getnchannels() != 1:
-            raise AudioFormatError(f"channels: expected mono, got {wf.getnchannels()}")
-        if wf.getframerate() != SAMPLE_RATE:
-            raise AudioFormatError(
-                f"sample_rate: expected {SAMPLE_RATE}, got {wf.getframerate()}"
-            )
-        raw = wf.readframes(wf.getnframes())
+    """Read a RIFF/WAVE file that must be PCM16, mono, 16 kHz and hold every
+    frame its header declares; AudioFormatError names the file and field."""
+    try:
+        wf = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as e:
+        raise AudioFormatError(f"{path}: header: not a RIFF/WAVE file ({e})") from None
+    with wf:
+        for field, want, got in (("compression", "NONE", wf.getcomptype()),
+                                 ("sample_width", 2, wf.getsampwidth()),
+                                 ("channels", 1, wf.getnchannels()),
+                                 ("sample_rate", SAMPLE_RATE, wf.getframerate())):
+            if got != want:
+                raise AudioFormatError(f"{path}: {field}: expected {want!r}, got {got!r}")
+        frames = wf.getnframes()
+        raw = wf.readframes(frames)
+    if len(raw) != 2 * frames:
+        raise AudioFormatError(f"{path}: data: {frames} frames declared, {len(raw)} bytes read")
     pcm = np.frombuffer(raw, dtype="<i2")
     return AudioClip(pcm.astype(np.float64) / 32768.0)
 

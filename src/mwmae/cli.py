@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PatchGrid, collect_stack, distance_table, entropy_table, pwcca_matrix
-from .audio import crop_or_pad, load_wav, logmel, standardize
+from .audio import crop_or_pad, load_wav, logmel, standardize, wav_paths
 from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
@@ -108,11 +108,8 @@ def _cmd_pretrain(args) -> int:
 
 
 def _load_specs(wav_dir: str, cfg: MaeConfig) -> list[np.ndarray]:
-    paths = sorted(Path(wav_dir).rglob("*.wav"))
-    if not paths:
-        raise ContractError(f"no .wav files under {wav_dir}")
     specs = []
-    for i, p in enumerate(paths):
+    for i, p in enumerate(wav_paths(wav_dir)):
         spec = standardize(logmel(load_wav(p)))
         specs.append(crop_or_pad(spec, cfg.input_t, seed=i))
     return specs
@@ -120,11 +117,8 @@ def _load_specs(wav_dir: str, cfg: MaeConfig) -> list[np.ndarray]:
 
 def _cmd_extract(args) -> int:
     cfg, params = load_checkpoint(args.ckpt)
-    paths = sorted(Path(args.wav_dir).rglob("*.wav"))
-    if not paths:
-        raise ContractError(f"no .wav files under {args.wav_dir}")
     out = {}
-    for p in paths:
+    for p in wav_paths(args.wav_dir):
         key = str(p.relative_to(args.wav_dir))
         out[key] = scene_embedding(load_wav(p), cfg, params)
     save_tensors(args.out, out)
@@ -198,30 +192,47 @@ def _write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _read_metrics(path: Path) -> dict:
+    """A metric file: a JSON object whose `tasks` maps task names to numbers.
+    Anything else raises ContractError naming the file and the field."""
+    try:
+        doc = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"{path}: metric file is not JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: metric file must be a JSON object")
+    if not isinstance(doc.get("tasks"), dict):
+        raise ContractError(f"{path}: field 'tasks' must be an object of task scores")
+    for task, value in doc["tasks"].items():
+        check_config_field(path, f"tasks.{task}", value, 0.0)
+    return doc
+
+
 def _cmd_score(args) -> int:
     files = sorted(Path(args.metrics_dir).glob("*.json"))
     if not files:
         raise ContractError(f"no .json metric files under {args.metrics_dir}")
-    models, per_model, lower = [], {}, set()
+    per_model, lower = {}, set()
     for f in files:
-        doc = json.loads(f.read_text())
+        doc = _read_metrics(f)
         name = doc.get("model", f.stem)
-        models.append(name)
+        if name in per_model:
+            raise ContractError(f"{f}: field 'model': {name!r} is in another metric file too")
         per_model[name] = doc["tasks"]
         lower.update(doc.get("lower_is_better", []))
     tasks = sorted({t for scores in per_model.values() for t in scores})
-    for name in models:
+    for name in per_model:
         missing = [t for t in tasks if t not in per_model[name]]
         if missing:
             raise ContractError(f"model {name!r} is missing tasks {missing}")
-    scores = np.array([[per_model[m][t] for t in tasks] for m in models])
+    scores = np.array([[per_model[m][t] for t in tasks] for m in per_model])
     table = TaskScoreTable(
-        models=models, tasks=tasks, scores=scores,
+        models=list(per_model), tasks=tasks, scores=scores,
         higher_is_better=[t not in lower for t in tasks],
     )
-    payload = {"scores": {m: overall_score(table, m) for m in models}}
+    payload = {"scores": {m: overall_score(table, m) for m in per_model}}
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _log(f"scored {len(models)} models over {len(tasks)} tasks")
+    _log(f"scored {len(per_model)} models over {len(tasks)} tasks")
     return 0
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .audio import AudioClip, SAMPLE_RATE, logmel, standardize
+from .audio import AudioClip, SAMPLE_RATE, crop_or_pad, logmel, standardize
 from .errors import ContractError
 from .model import MaeConfig, MaeParams, encode_all, patchify
 from .tensor import Tensor, glorot, no_grad
@@ -44,23 +44,13 @@ def scene_embedding(clip: AudioClip, cfg: MaeConfig, params: MaeParams) -> np.nd
     with no_grad():
         for c in range(n_chunks):
             chunk = AudioClip(padded[c * chunk_len:(c + 1) * chunk_len])
-            spec = standardize(logmel(chunk))
-            spec = _fit_frames(spec, cfg.input_t)
+            # truncate, then zero-pad: a spec no longer than input_t is never cropped
+            spec = crop_or_pad(standardize(logmel(chunk))[:cfg.input_t], cfg.input_t, seed=0)
             patches = patchify(spec, cfg.patch_t, cfg.patch_f)
             tokens = encode_all(patches, cfg, params)
             token_blocks.append(tokens.data)
     stacked = np.concatenate(token_blocks, axis=0)
     return stacked.mean(axis=0)
-
-
-def _fit_frames(spec: np.ndarray, target_t: int) -> np.ndarray:
-    """Deterministic frame-count fix for inference: truncate or zero-pad."""
-    t = spec.shape[0]
-    if t >= target_t:
-        return spec[:target_t]
-    out = np.zeros((target_t, spec.shape[1]))
-    out[:t] = spec
-    return out
 
 
 @dataclass

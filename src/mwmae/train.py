@@ -179,16 +179,13 @@ class WavSpecDataset:
     """
 
     def __init__(self, wav_dir: str | Path, input_t: int, seed: int = 0):
-        from .audio import crop_or_pad, load_wav, logmel, standardize
+        from .audio import crop_or_pad, load_wav, logmel, standardize, wav_paths
 
         self._crop = crop_or_pad
         self.input_t = input_t
         self.seed = seed
-        paths = sorted(Path(wav_dir).rglob("*.wav"))
-        if not paths:
-            raise ContractError(f"no .wav files under {wav_dir}")
-        self.paths = paths
-        self.full_specs = [standardize(logmel(load_wav(p))) for p in paths]
+        self.paths = wav_paths(wav_dir)
+        self.full_specs = [standardize(logmel(load_wav(p))) for p in self.paths]
 
     def __len__(self):
         return len(self.paths)

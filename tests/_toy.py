@@ -130,6 +130,41 @@ def full_stack_taps(cfg, params, specs, stack: str) -> list[list[HeadTap]]:
     return taps
 
 
+def block_diagonal(probs: np.ndarray, n: int) -> np.ndarray:
+    """Embed one example's tapped attention, (n, n) or (n/win, win, win), as
+    a row-stochastic n x n matrix: the dense reference for the analysis."""
+    if probs.ndim == 2:
+        return probs
+    m, win, _ = probs.shape
+    assert m * win == n
+    full = np.zeros((n, n))
+    for b in range(m):
+        full[b * win:(b + 1) * win, b * win:(b + 1) * win] = probs[b]
+    return full
+
+
+def dense_entropy(probs: list[np.ndarray], n: int) -> float:
+    """Mean row entropy over the n x n embeddings, averaged over examples."""
+    per_example = []
+    for p in probs:
+        full = block_diagonal(p, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(full > 0.0, -full * np.log(full), 0.0)
+        per_example.append(terms.sum(axis=-1).mean())
+    return float(np.mean(per_example))
+
+
+def dense_distance(probs: list[np.ndarray], grid_t: int, grid_f: int) -> float:
+    """Mean attention distance from the n x n embeddings and the full
+    n x n table of patch-grid distances, averaged over examples."""
+    n = grid_t * grid_f
+    idx = np.arange(n)
+    pos = np.stack([idx // grid_f, idx % grid_f], axis=1).astype(np.float64)
+    table = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    return float(np.mean([(block_diagonal(p, n) * table).sum(axis=-1).mean()
+                          for p in probs]))
+
+
 class FailsMidway:
     """A file that takes half of a write, then fails like a full disk."""
 

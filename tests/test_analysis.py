@@ -14,10 +14,11 @@ from mwmae.analysis import (
     pwcca_matrix,
     whiten,
 )
+from mwmae.attention import window_schedule
 from mwmae.errors import ContractError, DegenerateInputError
 from mwmae.model import MaeParams
 
-from _toy import tiny_config, toy_spectrograms
+from _toy import dense_distance, dense_entropy, tiny_config, toy_spectrograms
 
 
 def _pwcca_reference(x, y, rank_rtol=1e-10):
@@ -114,6 +115,50 @@ class TestMeanAttentionDistance:
         rec = AttnRecord(0, 0, [np.eye(4)])
         with pytest.raises(ContractError):
             mean_attention_distance(rec, PatchGrid(3, 3))
+
+
+def _rand_windows(rng, n, win):
+    p = rng.uniform(0.01, 1.0, size=(n // win, win, win))
+    p[..., 0] = 0.0  # exact zeros, as a saturated softmax gives
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+class TestWindowLayout:
+    """Entropy and distance on (n/win, win, win) window attention against the
+    n x n block-diagonal embedding, on the 50 x 5 grid of 250 patches."""
+
+    grid = PatchGrid(50, 5)
+
+    @pytest.mark.parametrize("win", sorted(set(window_schedule(250).windows)))
+    def test_matches_dense_reference(self, win):
+        rng = np.random.default_rng(win)
+        probs = [_rand_windows(rng, 250, win) for _ in range(3)]
+        rec = AttnRecord(0, 0, probs)
+        assert abs(attention_entropy(rec) - dense_entropy(probs, 250)) <= 1e-12
+        dist = mean_attention_distance(rec, self.grid)
+        assert abs(dist - dense_distance(probs, 50, 5)) <= 1e-12
+
+    def test_window_tables_wrap_across_grid_rows(self):
+        pos = self.grid.positions()
+        full = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        assert self.grid.distances(2)[2, 0, 1] == np.sqrt(17.0)  # tokens 4 and 5
+        for win in (2, 25, 250):
+            table = self.grid.distances(win)
+            assert table.shape == (250 // win, win, win)
+            for b in range(250 // win):
+                s = slice(b * win, (b + 1) * win)
+                np.testing.assert_array_equal(table[b], full[s, s])
+
+    def test_token_count_mismatch_rejected(self):
+        rec = AttnRecord(0, 0, [np.full((4, 2, 2), 0.5)])  # 8 tokens
+        with pytest.raises(ContractError, match="8 tokens"):
+            mean_attention_distance(rec, PatchGrid(3, 3))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ContractError, match="square"):
+            AttnRecord(0, 0, [np.full((9, 4), 0.25)])
+        with pytest.raises(ContractError, match="square"):
+            AttnRecord(0, 0, [np.full((3, 3, 2), 0.5)])
 
 
 class TestPwcca:
@@ -393,6 +438,14 @@ class TestAttentionRecordsFromModel:
         cfg = tiny_config()
         params = MaeParams.init(cfg)
         records = collect_stack(cfg, params, toy_spectrograms(2, seed=10), stack="decoder")
-        rec = records.record(1, 0)  # smallest window, block-diagonal embedding
+        rec = records.record(1, 0)  # smallest window
         for p in rec.probs:
-            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_records_are_the_tapped_windows(self):
+        cfg = tiny_config()
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(2, seed=10),
+                                stack="decoder")
+        for head, win in enumerate(cfg.dec_schedule.windows):
+            for ex, p in zip(records.taps, records.record(1, head).probs, strict=True):
+                assert p is ex[1].probs[head] and p.shape == (cfg.n_p // win, win, win)

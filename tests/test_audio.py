@@ -17,6 +17,7 @@ from mwmae.audio import (
     mel_filterbank,
     save_wav,
     standardize,
+    wav_paths,
 )
 from mwmae.errors import AudioFormatError, ContractError
 
@@ -82,6 +83,50 @@ class TestWavIO:
             wf.writeframes(np.zeros(100, dtype="u1").tobytes())
         with pytest.raises(AudioFormatError, match="sample_width"):
             load_wav(path)
+
+    @staticmethod
+    def _named(path, field):
+        with pytest.raises(AudioFormatError, match=field) as err:
+            load_wav(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @staticmethod
+    def _thousand_frames(path):
+        save_wav(path, AudioClip(np.zeros(1000)))
+        return path.read_bytes()
+
+    def test_not_riff_named(self, tmp_path):
+        path = tmp_path / "text.wav"
+        path.write_bytes(b"this is not a wave file at all")
+        self._named(path, "header")
+
+    def test_empty_file_named(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(b"")
+        self._named(path, "header")
+
+    def test_odd_payload_named(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(self._thousand_frames(path)[:-1])
+        self._named(path, "data: 1000 frames declared, 1999 bytes read")
+
+    def test_cut_mid_payload_named(self, tmp_path):
+        # the header still declares 1000 frames; only 500 follow it
+        path = tmp_path / "cut.wav"
+        path.write_bytes(self._thousand_frames(path)[:-1000])
+        self._named(path, "data: 1000 frames declared, 1000 bytes read")
+
+
+class TestWavPaths:
+    def test_sorted_and_recursive(self, tmp_path):
+        for name in ("b.wav", "sub/a.wav", "a.wav", "notes.txt"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(b"")
+        assert wav_paths(tmp_path) == [tmp_path / n for n in ("a.wav", "b.wav", "sub/a.wav")]
+
+    def test_none_found(self, tmp_path):
+        with pytest.raises(ContractError, match="no .wav files"):
+            wav_paths(tmp_path)
 
 
 class TestLogmel:

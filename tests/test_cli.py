@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from mwmae import cli, container
-from mwmae.analysis import StackRecords, entropy_table, pwcca, whiten
+from mwmae.analysis import StackRecords, pwcca, whiten
 from mwmae.cli import load_run_config, main
 from mwmae.container import load_tensors
 from mwmae.errors import ContractError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
 
-from _toy import FailsMidway, full_stack_taps
+from _toy import FailsMidway, dense_distance, dense_entropy, full_stack_taps
 
 # patch 20x16 over 200x80 -> 50 patches: smallest model that accepts real audio
 FAST_CONFIG = {
@@ -296,6 +296,25 @@ class TestScoreCommand:
                      "--out", str(tmp_path / "s.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("text, field", [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"model": "b"}', "'tasks'"),
+        ('{"model": "b", "tasks": [1.0]}', "'tasks'"),
+        ('{"model": "b", "tasks": {"t1": "high"}}', "'tasks.t1'"),
+        ('{"model": "a", "tasks": {"t1": 2.0}}', "'model'"),
+    ])
+    def test_bad_metric_file_named(self, tmp_path, capsys, text, field):
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        (metrics / "a.json").write_text(json.dumps({"model": "a", "tasks": {"t1": 1.0}}))
+        (metrics / "b.json").write_text(text)
+        out = tmp_path / "s.json"
+        assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ContractError: {metrics / 'b.json'}: ")
+        assert field in err and not out.exists()
+
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
@@ -350,14 +369,28 @@ class TestAnalyzeAt250Patches:
         got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("stack", ["encoder", "decoder"])
-    def test_entropy_matches(self, setup, stack):
+    def _check_against_dense(self, setup, metric, stack, dense):
+        """The CSV against `dense(per-example probs)` on each head's n x n
+        block-diagonal embedding, from the untruncated stack's taps."""
         root, wav_dir, cfg, params, specs = setup
-        rows = self._analyze(root, wav_dir, "entropy", stack)
+        rows = self._analyze(root, wav_dir, metric, stack)
         depth, heads = ((cfg.enc_depth, cfg.enc_heads) if stack == "encoder"
                         else (cfg.dec_depth, cfg.dec_heads))
-        ref = StackRecords(depth, heads, full_stack_taps(cfg, params, specs, stack), cfg.n_p)
-        want = entropy_table(ref)
+        taps = full_stack_taps(cfg, params, specs, stack)
+        want = [(layer, head, dense([ex[layer].probs[head] for ex in taps]))
+                for layer in range(depth) for head in range(heads)]
         assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [w[:2] for w in want]
         np.testing.assert_allclose([float(r[2]) for r in rows[1:]], [w[2] for w in want],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stack", ["encoder", "decoder"])
+    def test_entropy_matches(self, setup, stack):
+        n_p = setup[2].n_p
+        self._check_against_dense(setup, "entropy", stack,
+                                  lambda probs: dense_entropy(probs, n_p))
+
+    @pytest.mark.parametrize("stack", ["encoder", "decoder"])
+    def test_distance_matches(self, setup, stack):
+        cfg = setup[2]
+        self._check_against_dense(setup, "distance", stack,
+                                  lambda probs: dense_distance(probs, cfg.grid_t, cfg.grid_f))
