@@ -21,7 +21,6 @@ from .analysis import (
     Whitened,
     attention_entropy,
     collect_stack,
-    head_features,
     mean_attention_distance,
     pwcca,
     pwcca_matrix,
@@ -94,7 +93,6 @@ __all__ = [
     "encode_all",
     "gen_corpus",
     "grad_check",
-    "head_features",
     "load_checkpoint",
     "load_tensors",
     "load_wav",

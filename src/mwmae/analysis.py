@@ -6,6 +6,7 @@ probability mass; projection-weighted CCA compares what two heads compute.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from .model import (
     tap_encoder,
 )
 from .tensor import no_grad
+
+# Singular values at or below this fraction of the largest count as rank-deficient.
+RANK_RTOL = 1e-10
 
 
 @dataclass
@@ -119,10 +123,10 @@ class Whitened:
         return self.u.shape[0], self.proj.shape[1]
 
 
-def whiten(x: np.ndarray, rank_rtol: float = 1e-10) -> Whitened:
+def whiten(x: np.ndarray) -> Whitened:
     """Centre the columns of x and whiten them through one SVD.
 
-    Singular values at or below `rank_rtol` times the largest are dropped.
+    Singular values at or below `RANK_RTOL` times the largest are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -131,15 +135,13 @@ def whiten(x: np.ndarray, rank_rtol: float = 1e-10) -> Whitened:
         raise ContractError(f"need more rows than columns: {x.shape}")
     xc = x - x.mean(axis=0)
     u, s, vt = np.linalg.svd(xc, full_matrices=False)
-    r = int(np.sum(s > rank_rtol * s[0])) if s.size and s[0] > 0 else 0
+    r = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
     if r == 0:
         raise DegenerateInputError("rank-0 input after centering")
     return Whitened(u=u[:, :r], proj=s[:r, None] * vt[:r])
 
 
-def pwcca(
-    x: np.ndarray | Whitened, y: np.ndarray | Whitened, rank_rtol: float = 1e-10
-) -> float:
+def pwcca(x: np.ndarray | Whitened, y: np.ndarray | Whitened) -> float:
     """Projection-weighted canonical correlation between two feature matrices.
 
     Rows are datapoints, columns are feature dims. Columns are centered, each
@@ -149,8 +151,8 @@ def pwcca(
     much of X projects onto its canonical direction.
 
     Either argument may be a `Whitened` record from `whiten`, which skips
-    its SVD; `rank_rtol` then applies only to raw arguments. Two records from
-    one `whiten_heads` call read their cross product from its shared Gram.
+    its SVD. Two records from one `whiten_heads` call read their cross
+    product from its shared Gram.
     """
     x, y = (m if isinstance(m, Whitened) else np.asarray(m, dtype=np.float64)
             for m in (x, y))
@@ -160,7 +162,7 @@ def pwcca(
         raise ContractError(
             f"need more rows than columns: {x.shape} vs {y.shape}"
         )
-    wx, wy = (m if isinstance(m, Whitened) else whiten(m, rank_rtol) for m in (x, y))
+    wx, wy = (m if isinstance(m, Whitened) else whiten(m) for m in (x, y))
 
     if wx.gram is not None and wx.gram is wy.gram:
         cross = wx.gram[wx.cols, wy.cols]
@@ -180,18 +182,6 @@ def pwcca(
     return float(np.sum(weights * rho))
 
 
-def head_features(taps: list[list[HeadTap]], layer: int, head: int) -> np.ndarray:
-    """Stack one head's pre-projection outputs over tokens and examples.
-
-    `taps` is indexed [example][layer]; each HeadTap holds per-head outputs
-    of shape (n, d_k). Result is (n_examples * n, d_k).
-    """
-    if not taps:
-        raise ContractError("no examples collected")
-    rows = [ex[layer].head_out[head] for ex in taps]
-    return np.concatenate(rows, axis=0)
-
-
 @dataclass
 class StackRecords:
     """Collected attention and features for every head of one stack."""
@@ -208,18 +198,25 @@ class StackRecords:
         return AttnRecord(layer=layer, head=head, probs=probs)
 
     def features(self, layer: int, head: int) -> np.ndarray:
-        return head_features(self.taps, layer, head)
+        """One head's outputs stacked over examples: (n_examples * n, d_k)."""
+        return np.concatenate([ex[layer].head_out[head] for ex in self.taps], axis=0)
 
-    def whiten_heads(
-        self, heads: list[tuple[int, int]]
-    ) -> dict[tuple[int, int], Whitened]:
-        """Whiten each (layer, head)'s features into its own column block of
-        one (rows, sum of ranks) array, then take that array's Gram once.
+    def heads(self) -> list[tuple[int, int]]:
+        """Every (layer, head), layer-major: the order of `labels`."""
+        return [(layer, head) for layer in range(self.n_layers) for head in range(self.n_heads)]
+
+    def labels(self) -> list[str]:
+        return [f"L{layer}.H{head}" for layer, head in self.heads()]
+
+    def whiten_heads(self) -> list[Whitened]:
+        """Whiten every head's features, in `heads()` order, into its own
+        column block of one (rows, sum of ranks) array, then take that
+        array's Gram once.
 
         Features are built one head at a time and each record's `u` is a
         view into the shared array, so no second copy is kept.
         """
-        rows = len(self.taps) * self.n_tokens
+        rows, heads = len(self.taps) * self.n_tokens, self.heads()
         basis = np.empty((rows, sum(
             self.taps[0][layer].head_out[head].shape[1] for layer, head in heads)))
         blocks, at = [], 0
@@ -229,19 +226,12 @@ class StackRecords:
                 raise ContractError(f"head {key} has {w.u.shape[0]} rows, expected {rows}")
             cols = slice(at, at + w.u.shape[1])
             basis[:, cols] = w.u
-            blocks.append((key, cols, w.proj))
+            blocks.append((cols, w.proj))
             at = cols.stop
         basis = basis[:, :at]
         gram = basis.T @ basis
-        return {key: Whitened(u=basis[:, cols], proj=proj, gram=gram, cols=cols)
-                for key, cols, proj in blocks}
-
-    def labels(self) -> list[str]:
-        return [
-            f"L{layer}.H{head}"
-            for layer in range(self.n_layers)
-            for head in range(self.n_heads)
-        ]
+        return [Whitened(u=basis[:, cols], proj=proj, gram=gram, cols=cols)
+                for cols, proj in blocks]
 
 
 def collect_stack(
@@ -281,20 +271,13 @@ def collect_stack(
     return StackRecords(depth, n_heads, taps, cfg.n_p)
 
 
-def entropy_table(records: StackRecords) -> list[tuple[int, int, float]]:
-    return [
-        (layer, head, attention_entropy(records.record(layer, head)))
-        for layer in range(records.n_layers)
-        for head in range(records.n_heads)
-    ]
-
-
-def distance_table(records: StackRecords, grid: PatchGrid) -> list[tuple[int, int, float]]:
-    return [
-        (layer, head, mean_attention_distance(records.record(layer, head), grid))
-        for layer in range(records.n_layers)
-        for head in range(records.n_heads)
-    ]
+def head_table(
+    records: StackRecords, metric: Callable[[AttnRecord], float]
+) -> list[tuple[int, int, float]]:
+    """(layer, head, metric of that head's AttnRecord) for every head, in
+    `heads()` order."""
+    return [(layer, head, metric(records.record(layer, head)))
+            for layer, head in records.heads()]
 
 
 def window_correlation_summary(
@@ -305,20 +288,20 @@ def window_correlation_summary(
     Returns (same_window, local_vs_global): the mean symmetrized PWCCA between
     heads that share a local window size in different layers, and between
     those local heads and the global heads. A decoupled hierarchy shows
-    same_window > local_vs_global.
+    same_window > local_vs_global. Every pair is read from `pwcca_matrix`,
+    the matrix `analyze pwcca` writes.
     """
+    if len(windows) != records.n_heads:
+        raise ContractError(f"{len(windows)} windows for {records.n_heads} heads")
     local_heads = [h for h, w in enumerate(windows) if w != n_tokens]
     global_heads = [h for h, w in enumerate(windows) if w == n_tokens]
     if not local_heads or not global_heads:
         raise ContractError("need both local and global heads for the comparison")
-    feats = records.whiten_heads([
-        (layer, head)
-        for layer in range(records.n_layers)
-        for head in local_heads + global_heads
-    ])
+    matrix, _ = pwcca_matrix(records)
 
     def sym(a, b):
-        return 0.5 * (pwcca(feats[a], feats[b]) + pwcca(feats[b], feats[a]))
+        i, j = (layer * records.n_heads + head for layer, head in (a, b))
+        return 0.5 * (matrix[i, j] + matrix[j, i])
 
     same = [
         sym((l1, h), (l2, h))
@@ -344,11 +327,7 @@ def pwcca_matrix(records: StackRecords) -> tuple[np.ndarray, list[str]]:
     array (`StackRecords.whiten_heads`), so the cost is H SVDs over all
     rows, one Gram of that array, and H^2 small k x k SVDs of its blocks.
     """
-    feats = list(records.whiten_heads([
-        (layer, head)
-        for layer in range(records.n_layers)
-        for head in range(records.n_heads)
-    ]).values())
+    feats = records.whiten_heads()
     h = len(feats)
     out = np.zeros((h, h))
     for i in range(h):

@@ -8,6 +8,7 @@ out frames x bins (T x F) and standardized per instance.
 
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,11 +55,23 @@ def wav_paths(wav_dir: str | Path) -> list[Path]:
     return paths
 
 
+def _data_chunk_size(raw: bytes) -> int:
+    """The size field of the data chunk of a RIFF/WAVE file `wave` has parsed.
+    Chunks follow the 12-byte RIFF header, each padded to an even size."""
+    at = 12
+    while raw[at:at + 4] != b"data":
+        size = int.from_bytes(raw[at + 4:at + 8], "little")
+        at += 8 + size + size % 2
+    return int.from_bytes(raw[at + 4:at + 8], "little")
+
+
 def load_wav(path: str | Path) -> AudioClip:
-    """Read a RIFF/WAVE file that must be PCM16, mono, 16 kHz and hold every
-    frame its header declares; AudioFormatError names the file and field."""
+    """Read a RIFF/WAVE file that must be PCM16, mono and 16 kHz, and whose
+    data chunk declares a whole number of frames, at least one, all present;
+    AudioFormatError names the file and field."""
+    raw = Path(path).read_bytes()
     try:
-        wf = wave.open(str(path), "rb")
+        wf = wave.open(io.BytesIO(raw), "rb")
     except (wave.Error, EOFError) as e:
         raise AudioFormatError(f"{path}: header: not a RIFF/WAVE file ({e})") from None
     with wf:
@@ -69,10 +82,14 @@ def load_wav(path: str | Path) -> AudioClip:
             if got != want:
                 raise AudioFormatError(f"{path}: {field}: expected {want!r}, got {got!r}")
         frames = wf.getnframes()
-        raw = wf.readframes(frames)
-    if len(raw) != 2 * frames:
-        raise AudioFormatError(f"{path}: data: {frames} frames declared, {len(raw)} bytes read")
-    pcm = np.frombuffer(raw, dtype="<i2")
+        data = wf.readframes(frames)
+    # `wave` rounds the frame count down, so an odd size shows only here.
+    declared = _data_chunk_size(raw)
+    if frames == 0 or declared != 2 * frames:
+        raise AudioFormatError(f"{path}: data: {declared} bytes declared, not whole frames >= 1")
+    if len(data) != 2 * frames:
+        raise AudioFormatError(f"{path}: data: {frames} frames declared, {len(data)} bytes read")
+    pcm = np.frombuffer(data, dtype="<i2")
     return AudioClip(pcm.astype(np.float64) / 32768.0)
 
 

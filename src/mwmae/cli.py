@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import PatchGrid, collect_stack, distance_table, entropy_table, pwcca_matrix
+from .analysis import (PatchGrid, attention_entropy, collect_stack, head_table,
+                       mean_attention_distance, pwcca_matrix)
 from .audio import crop_or_pad, load_wav, logmel, standardize, wav_paths
 from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError
@@ -136,21 +137,16 @@ def _cmd_probe(args) -> int:
         feats.append(embeddings[name])
         labels.append(label)
         splits.append(split)
-    multilabel = any(";" in lab for lab in labels)
-    if multilabel:
+    if any(";" in lab for lab in labels):
         vocab = sorted({tok for lab in labels for tok in lab.split(";") if tok})
-        mat = np.zeros((len(labels), len(vocab)))
+        y = np.zeros((len(labels), len(vocab)))
         for i, lab in enumerate(labels):
             for tok in lab.split(";"):
                 if tok:
-                    mat[i, vocab.index(tok)] = 1.0
-        y = mat
+                    y[i, vocab.index(tok)] = 1.0
     else:
         y = np.array(labels)
-    result = train_probe(
-        np.array(feats), y, np.array(splits), seed=_resolve_seed(args),
-        multilabel=multilabel,
-    )
+    result = train_probe(np.array(feats), y, np.array(splits), seed=_resolve_seed(args))
     payload = {
         "metric": result.metric_name,
         "test": result.test_metric,
@@ -173,10 +169,9 @@ def _cmd_analyze(args) -> int:
         rows = [[""] + names]
         rows += [[name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)]
     else:
-        if args.metric == "entropy":
-            table = entropy_table(records)
-        else:
-            table = distance_table(records, PatchGrid(cfg.grid_t, cfg.grid_f))
+        grid = PatchGrid(cfg.grid_t, cfg.grid_f)
+        table = head_table(records, attention_entropy if args.metric == "entropy"
+                           else lambda rec: mean_attention_distance(rec, grid))
         rows = [["layer", "head", "value"]]
         rows += [[layer, head, repr(value)] for layer, head, value in table]
     text = io.StringIO()
@@ -193,8 +188,10 @@ def _write_text(path, text: str) -> None:
 
 
 def _read_metrics(path: Path) -> dict:
-    """A metric file: a JSON object whose `tasks` maps task names to numbers.
-    Anything else raises ContractError naming the file and the field."""
+    """A metric file: a JSON object whose `tasks` maps task names to finite
+    numbers, with an optional string `model` and an optional list of task
+    names `lower_is_better`. Anything else raises ContractError naming the
+    file and the field."""
     try:
         doc = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -205,6 +202,11 @@ def _read_metrics(path: Path) -> dict:
         raise ContractError(f"{path}: field 'tasks' must be an object of task scores")
     for task, value in doc["tasks"].items():
         check_config_field(path, f"tasks.{task}", value, 0.0)
+    if not isinstance(doc.get("model", ""), str):
+        raise ContractError(f"{path}: field 'model' must be a string, got {doc['model']!r}")
+    lower = doc.get("lower_is_better", [])
+    if not isinstance(lower, list) or not all(isinstance(t, str) for t in lower):
+        raise ContractError(f"{path}: field 'lower_is_better' must be a list of task names")
     return doc
 
 

@@ -111,15 +111,14 @@ def train_probe(
     labels: np.ndarray,
     splits: np.ndarray,
     seed: int = 0,
-    multilabel: bool = False,
 ) -> ProbeResult:
     """Train the shallow MLP probe on frozen features.
 
     One hidden layer of 1024 GELU units with dropout 0.25, Adam at a fixed
     learning rate, early stopping on the validation metric with patience 20.
-    `splits` holds 'train'/'valid'/'test' per row. For multilabel data,
-    `labels` is a binary matrix and the metric is mean average precision;
-    otherwise integer class labels and accuracy.
+    `splits` holds 'train'/'valid'/'test' per row. 2-D `labels` are a binary
+    multilabel matrix, scored by mean average precision; 1-D labels are
+    class labels, scored by accuracy.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -129,9 +128,8 @@ def train_probe(
             raise ContractError(f"split {name!r} is empty")
     tr, va, te = (splits == "train"), (splits == "valid"), (splits == "test")
 
+    multilabel = labels.ndim == 2
     if multilabel:
-        if labels.ndim != 2:
-            raise ContractError("multilabel labels must be a binary matrix")
         n_out = labels.shape[1]
         y_train = labels[tr].astype(np.float64)
     else:

@@ -520,8 +520,8 @@ def save_checkpoint(path: str | Path, cfg: MaeConfig, params: MaeParams) -> None
 def check_config_field(source, name: str, value, default, low: int = 1) -> None:
     """Reject a JSON config value that does not fit its field's default.
 
-    A float field takes an int or a float, an int field only an int of at
-    least `low`; a bool is never a number. The ContractError names the
+    A float field takes an int or a finite float, an int field only an int
+    of at least `low`; a bool is never a number. The ContractError names the
     source and the field.
     """
     kinds = (int, float) if isinstance(default, float) else int
@@ -529,6 +529,8 @@ def check_config_field(source, name: str, value, default, low: int = 1) -> None:
         raise ContractError(
             f"{source}: field {name!r} must be {type(default).__name__}, got {value!r}"
         )
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ContractError(f"{source}: field {name!r} must be finite, got {value!r}")
     if isinstance(default, int) and value < low:
         raise ContractError(f"{source}: field {name!r} must be >= {low}, got {value}")
 

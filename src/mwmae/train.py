@@ -295,6 +295,8 @@ def train(
     in shard order before the one AdamW step, so the numbers do not depend
     on which thread or core runs a shard.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ContractError(f"max_steps must be >= 1 or None, got {max_steps}")
     if not hasattr(dataset, "spec"):
         dataset = SpectrogramDataset(dataset)
     n = len(dataset)

@@ -8,7 +8,6 @@ from mwmae.analysis import (
     PatchGrid,
     attention_entropy,
     collect_stack,
-    head_features,
     mean_attention_distance,
     pwcca,
     pwcca_matrix,
@@ -326,7 +325,7 @@ class TestHeadFeatures:
     def test_missing_head_rejected(self):
         records = collect_stack(self.cfg, self.params, self.specs, stack="decoder")
         with pytest.raises(IndexError):
-            head_features(records.taps, 0, 99)
+            records.features(0, 99)
 
     @pytest.mark.parametrize("stack", ["encoder", "decoder"])
     def test_without_probs_taps_keep_only_head_outputs(self, stack):
@@ -368,16 +367,15 @@ class TestPwccaMatrix:
         cfg = tiny_config(dec_depth=2)
         records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(8, seed=8),
                                 stack="decoder", probs=False)
-        keys = [(1, 0), (0, 3), (0, 0)]
-        got = records.whiten_heads(keys)
-        assert list(got) == keys
-        base = got[keys[0]].u.base
-        for key in keys:
-            w, alone = got[key], whiten(records.features(*key))
-            assert w.u.base is base and w.gram is got[keys[0]].gram
+        got = records.whiten_heads()
+        assert len(got) == len(records.heads()) == len(records.labels())
+        base = got[0].u.base
+        for key, w in zip(records.heads(), got, strict=True):
+            alone = whiten(records.features(*key))
+            assert w.u.base is base and w.gram is got[0].gram
             np.testing.assert_array_equal(w.u, alone.u)
             np.testing.assert_array_equal(w.proj, alone.proj)
-            for other in got.values():
+            for other in got:
                 np.testing.assert_allclose(w.gram[w.cols, other.cols], w.u.T @ other.u,
                                            rtol=0, atol=1e-12)
 
@@ -420,6 +418,38 @@ class TestWindowCorrelationSummary:
         records = self._fabricated_records(rng)
         with pytest.raises(ContractError):
             window_correlation_summary(records, (32, 32, 32), 32)
+
+    def test_window_per_head(self):
+        # a fourth window would alias layer 1's first head in the matrix
+        from mwmae.analysis import window_correlation_summary
+
+        records = self._fabricated_records(np.random.default_rng(13))
+        with pytest.raises(ContractError, match="4 windows for 3 heads"):
+            window_correlation_summary(records, (4, 32, 32, 32), 32)
+
+    def test_reads_the_symmetrised_pwcca_matrix(self):
+        from mwmae.analysis import window_correlation_summary
+
+        cfg = tiny_config(dec_width=20, dec_depth=3)
+        windows = window_schedule(cfg.n_p).windows
+        assert windows == cfg.dec_schedule.windows
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(8, seed=14),
+                                stack="decoder")
+        matrix, _ = pwcca_matrix(records)
+        h = records.n_heads
+
+        def at(layer, head, other_layer, other_head):
+            i, j = layer * h + head, other_layer * h + other_head
+            return 0.5 * (matrix[i, j] + matrix[j, i])
+
+        local = [k for k, w in enumerate(windows) if w != cfg.n_p]
+        glob = [k for k, w in enumerate(windows) if w == cfg.n_p]
+        same = [at(l1, k, l2, k) for k in local
+                for l1 in range(3) for l2 in range(l1 + 1, 3)]
+        cross = [at(l1, k, l2, g) for k in local for g in glob
+                 for l1 in range(3) for l2 in range(3)]
+        assert window_correlation_summary(records, windows, cfg.n_p) == (
+            float(np.mean(same)), float(np.mean(cross)))
 
 
 class TestAttentionRecordsFromModel:

@@ -116,6 +116,35 @@ class TestWavIO:
         path.write_bytes(self._thousand_frames(path)[:-1000])
         self._named(path, "data: 1000 frames declared, 1000 bytes read")
 
+    @staticmethod
+    def _data_chunk(path, data: bytes):
+        """A PCM16 mono 16 kHz file whose data chunk declares len(data) bytes."""
+        save_wav(path, AudioClip(np.zeros(1)))
+        # WAVE and the fmt chunk, then the new data chunk
+        body = path.read_bytes()[8:36] + b"data" + len(data).to_bytes(4, "little") + data
+        path.write_bytes(b"RIFF" + len(body).to_bytes(4, "little") + body)
+
+    def test_odd_chunk_size_named(self, tmp_path):
+        # `wave` rounds 1001 bytes down to 500 frames; the declared size counts
+        path = tmp_path / "odd-chunk.wav"
+        self._data_chunk(path, bytes(1001))
+        self._named(path, "data: 1001 bytes declared, not whole frames >= 1")
+
+    def test_no_frames_named(self, tmp_path):
+        path = tmp_path / "none.wav"
+        self._data_chunk(path, b"")
+        self._named(path, "data: 0 bytes declared, not whole frames >= 1")
+
+    def test_whole_frames_after_an_odd_chunk(self, tmp_path):
+        # a chunk of odd size before `data` carries one pad byte
+        path = tmp_path / "list.wav"
+        self._data_chunk(path, np.arange(5, dtype="<i2").tobytes())
+        raw = path.read_bytes()
+        extra = b"LIST" + (3).to_bytes(4, "little") + b"abc\0"
+        body = raw[8:36] + extra + raw[36:]
+        path.write_bytes(b"RIFF" + len(body).to_bytes(4, "little") + body)
+        np.testing.assert_array_equal(load_wav(path).samples, np.arange(5) / 32768.0)
+
 
 class TestWavPaths:
     def test_sorted_and_recursive(self, tmp_path):

@@ -70,6 +70,7 @@ class TestRunConfig:
         ("mask_ratio", "0.5"),
         ("betas", 5),
         ("betas", [0.9, "0.999"]),
+        ("base_lr", float("nan")),
     ])
     def test_wrong_type_names_field(self, tmp_path, field, value):
         path = _write_config(tmp_path, **{field: value})
@@ -303,6 +304,10 @@ class TestScoreCommand:
         ('{"model": "b", "tasks": [1.0]}', "'tasks'"),
         ('{"model": "b", "tasks": {"t1": "high"}}', "'tasks.t1'"),
         ('{"model": "a", "tasks": {"t1": 2.0}}', "'model'"),
+        ('{"model": 3, "tasks": {"t1": 2.0}}', "'model'"),
+        ('{"model": "b", "tasks": {"t1": NaN}}', "'tasks.t1'"),
+        ('{"model": "b", "tasks": {"t1": 2.0}, "lower_is_better": "t1"}',
+         "'lower_is_better'"),
     ])
     def test_bad_metric_file_named(self, tmp_path, capsys, text, field):
         metrics = tmp_path / "metrics"

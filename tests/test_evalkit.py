@@ -197,7 +197,7 @@ class TestTrainProbe:
         feats = rng.normal(size=(n, 10))
         labels = np.stack([feats[:, 0] > 0, feats[:, 1] > 0], axis=1).astype(float)
         splits = np.array((["train"] * 2 + ["valid", "test"]) * (n // 4))
-        result = train_probe(feats, labels, splits, seed=2, multilabel=True)
+        result = train_probe(feats, labels, splits, seed=2)
         assert result.metric_name == "mAP"
         assert result.test_metric > 0.8
 

@@ -285,6 +285,12 @@ class TestTrainLoop:
 
         assert run("a.csv") == run("b.csv")
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        with pytest.raises(ContractError, match="max_steps"):
+            train(toy_spectrograms(8, seed=3), tiny_config(), toy_train_config(),
+                  max_steps=max_steps)
+
     def test_csv_columns(self, tmp_path):
         specs = toy_spectrograms(8, seed=3)
         path = tmp_path / "loss.csv"
