@@ -289,10 +289,14 @@ def window_correlation_summary(
     heads that share a local window size in different layers, and between
     those local heads and the global heads. A decoupled hierarchy shows
     same_window > local_vs_global. Every pair is read from `pwcca_matrix`,
-    the matrix `analyze pwcca` writes.
+    the matrix `analyze pwcca` writes. A head is global when its window is
+    `n_tokens`, which must be the records' token count.
     """
     if len(windows) != records.n_heads:
         raise ContractError(f"{len(windows)} windows for {records.n_heads} heads")
+    if n_tokens != records.n_tokens:
+        raise ContractError(f"n_tokens={n_tokens}, but the records hold "
+                            f"{records.n_tokens} tokens")
     local_heads = [h for h, w in enumerate(windows) if w != n_tokens]
     global_heads = [h for h, w in enumerate(windows) if w == n_tokens]
     if not local_heads or not global_heads:

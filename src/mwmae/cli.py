@@ -189,9 +189,9 @@ def _write_text(path, text: str) -> None:
 
 def _read_metrics(path: Path) -> dict:
     """A metric file: a JSON object whose `tasks` maps task names to finite
-    numbers, with an optional string `model` and an optional list of task
-    names `lower_is_better`. Anything else raises ContractError naming the
-    file and the field."""
+    numbers, with an optional string `model` and an optional list
+    `lower_is_better` of names from `tasks`. Anything else raises
+    ContractError naming the file and the field."""
     try:
         doc = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -207,6 +207,9 @@ def _read_metrics(path: Path) -> dict:
     lower = doc.get("lower_is_better", [])
     if not isinstance(lower, list) or not all(isinstance(t, str) for t in lower):
         raise ContractError(f"{path}: field 'lower_is_better' must be a list of task names")
+    for task in lower:
+        if task not in doc["tasks"]:
+            raise ContractError(f"{path}: field 'lower_is_better': {task!r} is not in 'tasks'")
     return doc
 
 

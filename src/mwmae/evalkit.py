@@ -151,6 +151,8 @@ def train_probe(
     )
     named = p.named()
     state = OptimizerState.init(named)
+    grad_buf = state.bind_grads(named)
+    grads = {k: t.grad for k, t in named.items()}
     adam_cfg = TrainConfig(weight_decay=0.0, betas=PROBE_BETAS)
 
     def metric(x: np.ndarray, mask: np.ndarray) -> float:
@@ -162,7 +164,7 @@ def train_probe(
 
     best_val = -np.inf
     best_epoch = 0
-    best_snapshot = {k: t.data.copy() for k, t in named.items()}
+    best = state.params.copy()
     n_train = len(x_train)
     epoch = 0
     for epoch in range(1, PROBE_MAX_EPOCHS + 1):
@@ -177,22 +179,19 @@ def train_probe(
             else:
                 logp = T.log_softmax_lastdim(logits)
                 loss = T.scale((logp * targets).sum(), -1.0 / len(idx))
-            for t in named.values():
-                t.zero_grad()
+            grad_buf.fill(0.0)
             loss.backward()
-            grads = {k: t.grad for k, t in named.items()}
             adamw_step(named, grads, state, PROBE_LR, adam_cfg)
 
         val = metric(features[va], va)
         if val > best_val:
             best_val = val
             best_epoch = epoch
-            best_snapshot = {k: t.data.copy() for k, t in named.items()}
+            best = state.params.copy()
         elif epoch - best_epoch >= PROBE_PATIENCE:
             break
 
-    for k, t in named.items():
-        t.data = best_snapshot[k]
+    state.params[...] = best
     return ProbeResult(
         metric_name="mAP" if multilabel else "accuracy",
         test_metric=metric(features[te], te),

@@ -454,10 +454,14 @@ def gelu(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp only sees -|x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _logistic(a.data)
 
     def backward(g):
         return (g * y * (1.0 - y),)
@@ -469,8 +473,7 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
     x = a.data
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    sig = _logistic(x)
 
     def backward(g):
         return (g * sig,)

@@ -70,14 +70,19 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptimizerState:
-    """First/second moments as one flat buffer each.
+    """Parameters and first/second moments as one flat buffer each.
 
-    `spans` maps each parameter name, in the parameter dict's order, to its
-    (start, stop) slice of the buffers. `scratch` holds two more rows of
-    that length that `adamw_step` works in, so a step allocates no
-    parameter-sized arrays.
+    `init` copies the parameters, in dict order, into `params` and rebinds
+    each leaf's `.data` to its view; `spans` maps each name to its (start,
+    stop) slice. `scratch` holds two more rows of that length that
+    `adamw_step` works in, so a step allocates no parameter-sized arrays.
+
+    `adamw_step` writes `params` in place, and `backward()` adds into the
+    views that `bind_grads` makes, so nothing may rebind a bound leaf's
+    `.data` or `.grad` between `init` and the last step.
     """
 
+    params: np.ndarray
     m: np.ndarray
     v: np.ndarray
     spans: dict[str, tuple[int, int]]
@@ -91,8 +96,25 @@ class OptimizerState:
         for k, t in params.items():
             spans[k] = (stop, stop + t.data.size)
             stop += t.data.size
-        return OptimizerState(m=np.zeros(stop), v=np.zeros(stop), spans=spans,
-                              scratch=np.zeros((2, stop)))
+        state = OptimizerState(params=np.zeros(stop), m=np.zeros(stop), v=np.zeros(stop),
+                               spans=spans, scratch=np.zeros((2, stop)))
+        for t, view in state._views(state.params, params):
+            view[...] = t.data
+            t.data = view
+        return state
+
+    def bind_grads(self, params: dict[str, Tensor]) -> np.ndarray:
+        """A zeroed gradient buffer with each leaf's `.grad` bound to its
+        view, so `backward()` accumulates into the buffer in place."""
+        buf = np.zeros(len(self.params))
+        for t, view in self._views(buf, params):
+            t.grad = view
+        return buf
+
+    def _views(self, flat: np.ndarray, params: dict[str, Tensor]):
+        for k, t in params.items():
+            start, stop = self.spans[k]
+            yield t, flat[start:stop].reshape(t.data.shape)
 
 
 def adamw_step(
@@ -106,7 +128,8 @@ def adamw_step(
 ) -> None:
     """One AdamW update in place: decoupled decay first, then the Adam step.
 
-    The update runs once over flat copies of the gradients and parameters,
+    The update runs once over a flat copy of the gradients and over
+    `state.params`, which `params`' leaves view (`OptimizerState.init`),
     with the float ops of a per-tensor loop, so every parameter ends up
     bit-identical to that loop. Decay multiplies each element by
     1 - lr*weight_decay, except in `no_decay` tensors, which keep their
@@ -144,15 +167,12 @@ def adamw_step(
     np.sqrt(denom, out=denom)
     denom += eps
     upd /= denom
-    flat = g  # from here on, the parameters
-    np.concatenate([p.data.ravel() for p in params.values()], out=flat)
+    flat = state.params
     if cfg.weight_decay != 0.0:
         decayed = np.repeat([k not in no_decay for k in params],
                             [stop - start for start, stop in state.spans.values()])
         np.multiply(flat, 1.0 - lr * cfg.weight_decay, out=flat, where=decayed)
     flat -= upd
-    for p, (start, stop) in zip(params.values(), state.spans.values()):
-        p.data[...] = flat[start:stop].reshape(p.data.shape)
 
 
 class SpectrogramDataset:
@@ -314,11 +334,12 @@ def train(
     named = params.named()
     no_decay = params.no_decay_names()
     shards = _shard_bounds(batch, mae_cfg)
-    # Shard k > 0 backpropagates into replica leaves over the same arrays,
-    # which stay current because adamw_step updates `.data` in place.
-    shard_params = [params] + [params.replica() for _ in shards[1:]]
-    shard_named = [named] + [p.named() for p in shard_params[1:]]
     state = OptimizerState.init(named)
+    # Replicas made after `init` share its views of `state.params`; each
+    # shard's graph backpropagates into its own gradient buffer.
+    shard_params = [params] + [params.replica() for _ in shards[1:]]
+    grad_bufs = [state.bind_grads(p.named()) for p in shard_params]
+    grads = {k: t.grad for k, t in named.items()}
     order_rng = np.random.default_rng(train_cfg.seed)
 
     losses = np.zeros(total_steps)
@@ -350,9 +371,8 @@ def train(
             order = order_rng.permutation(n)
             for b in range(steps_per_epoch):
                 idx = order[b * batch:(b + 1) * batch]
-                for leaves in shard_named:
-                    for t in leaves.values():
-                        t.zero_grad()
+                for buf in grad_bufs:
+                    buf.fill(0.0)
                 specs = np.stack([dataset.spec(int(i), epoch) for i in idx])
                 seeds = [_mask_seed(train_cfg.seed, step, j) for j in range(len(idx))]
 
@@ -367,13 +387,8 @@ def train(
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step}; last checkpoint retained"
                     )
-                grads = {}
-                for k, t in named.items():
-                    parts = [leaves[k].grad for leaves in shard_named
-                             if leaves[k].grad is not None]
-                    for other in parts[1:]:
-                        parts[0] += other
-                    grads[k] = parts[0] if parts else np.zeros_like(t.data)
+                for buf in grad_bufs[1:]:
+                    grad_bufs[0] += buf
                 lr = lr_at(step, steps_per_epoch, train_cfg)
                 adamw_step(named, grads, state, lr, train_cfg, no_decay=no_decay)
 

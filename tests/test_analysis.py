@@ -427,6 +427,14 @@ class TestWindowCorrelationSummary:
         with pytest.raises(ContractError, match="4 windows for 3 heads"):
             window_correlation_summary(records, (4, 32, 32, 32), 32)
 
+    def test_token_count_must_match_records(self):
+        from mwmae.analysis import window_correlation_summary
+
+        records = self._fabricated_records(np.random.default_rng(13))
+        # a wrong count moves heads between the groups: at 4, head 0 is global
+        with pytest.raises(ContractError, match="n_tokens=4, .* 32 tokens"):
+            window_correlation_summary(records, (4, 32, 32), 4)
+
     def test_reads_the_symmetrised_pwcca_matrix(self):
         from mwmae.analysis import window_correlation_summary
 

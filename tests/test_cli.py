@@ -320,6 +320,19 @@ class TestScoreCommand:
         assert err.startswith(f"error: ContractError: {metrics / 'b.json'}: ")
         assert field in err and not out.exists()
 
+    def test_lower_is_better_must_name_a_task(self, tmp_path, capsys):
+        # ignoring the misspelt name would score `err` as higher-is-better
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        (metrics / "a.json").write_text(json.dumps(
+            {"model": "a", "tasks": {"err": 1.0}, "lower_is_better": ["ERR"]}))
+        (metrics / "b.json").write_text(json.dumps({"model": "b", "tasks": {"err": 9.0}}))
+        out = tmp_path / "s.json"
+        assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ContractError: {metrics / 'a.json'}: ")
+        assert "'lower_is_better'" in err and "'ERR'" in err and not out.exists()
+
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0

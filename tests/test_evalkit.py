@@ -176,6 +176,25 @@ class TestTrainProbe:
         assert inline_json == flat_json
         assert len(flat_trail) > 0 and inline_trail == flat_trail
 
+    def test_best_epoch_restored_into_the_flat_buffer(self, monkeypatch):
+        feats, labels, splits = _blobs(30, 3, 6, margin=2.0, seed=2)
+        seen = {"after": []}
+        real = evalkit.adamw_step
+
+        def spy(named, grads, state, *args, **kwargs):
+            real(named, grads, state, *args, **kwargs)
+            seen.update(named=named, state=state)
+            seen["after"].append(state.params.copy())
+
+        monkeypatch.setattr(evalkit, "adamw_step", spy)
+        result = train_probe(feats, labels, splits, seed=9)
+        # one batch per epoch, so step k ends epoch k
+        assert len(seen["after"]) == result.epochs_ran > result.best_epoch
+        named, state = seen["named"], seen["state"]
+        assert all(np.shares_memory(t.data, state.params) for t in named.values())
+        best = seen["after"][result.best_epoch - 1]
+        assert state.params.tobytes() == best.tobytes() != seen["after"][-1].tobytes()
+
     def test_single_class_rejected(self):
         feats = np.random.default_rng(3).normal(size=(40, 4))
         labels = np.zeros(40, dtype=int)

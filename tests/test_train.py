@@ -184,18 +184,36 @@ class TestFlatAdamW:
             lr = 1e-2 * (i + 1) / 20
             adamw_step(flat, grads, state, lr, cfg, no_decay=self.NO_DECAY)
             _per_tensor_adamw(ref, grads, ref_state, lr, cfg, no_decay=self.NO_DECAY)
-            for k in self.SHAPES:
+            for k, (start, stop) in state.spans.items():
                 np.testing.assert_array_equal(flat[k].data, ref[k].data)
+                assert np.shares_memory(flat[k].data, state.params)
+                np.testing.assert_array_equal(state.params[start:stop], ref[k].data.ravel())
         assert state.step == ref_state["step"] == 20
         for k, (start, stop) in state.spans.items():
             np.testing.assert_array_equal(state.m[start:stop], ref_state["m"][k].ravel())
             np.testing.assert_array_equal(state.v[start:stop], ref_state["v"][k].ravel())
 
     def test_state_is_flat_in_dict_order(self):
-        state = OptimizerState.init(self._params(2))
+        params = self._params(2)
+        before = {k: t.data.copy() for k, t in params.items()}
+        state = OptimizerState.init(params)
         assert list(state.spans) == list(self.SHAPES)
         assert state.spans["enc.w"] == (0, 12) and state.spans["head.b"] == (35, 36)
-        assert state.m.shape == state.v.shape == (36,)
+        assert state.params.shape == state.m.shape == state.v.shape == (36,)
+        for k, t in params.items():
+            assert np.shares_memory(t.data, state.params) and t.shape == self.SHAPES[k]
+            assert t.data.tobytes() == before[k].tobytes()
+
+    def test_bound_gradients_view_one_buffer(self):
+        params = self._params(6)
+        state = OptimizerState.init(params)
+        buf = state.bind_grads(params)
+        assert buf.shape == state.params.shape and not buf.any()
+        for k, t in params.items():
+            assert np.shares_memory(t.grad, buf) and t.grad.shape == self.SHAPES[k]
+        params["dec.w"].grad += 1.0
+        start, stop = state.spans["dec.w"]
+        assert buf[start:stop].all() and buf.sum() == stop - start
 
     def test_non_finite_grad_names_first_and_changes_nothing(self):
         cfg = TrainConfig(weight_decay=0.05)
@@ -558,3 +576,39 @@ class TestShardedStep:
         with pytest.raises(ShardFailure, match="shard 1"):
             train(pipeline_specs(), pipeline_config(), pipeline_train_config())
         assert threading.active_count() == threads  # the pool died with the call
+
+
+class TestStepSeam:
+    """perfbench's `watch_steps` and `TestShardedStep` wrap the module-level
+    `train.adamw_step`, so `train()` calls it once per step, with the
+    gradients as a name -> array dict and `no_decay` by keyword, on one
+    optimizer state."""
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_one_call_per_step(self, monkeypatch, sharded):
+        if sharded:
+            specs, cfg, tc, steps = (pipeline_specs(16), pipeline_config(),
+                                     pipeline_train_config(), 2)
+        else:
+            specs, cfg, tc, steps = (toy_spectrograms(16, seed=8), tiny_config(),
+                                     toy_train_config(), 3)
+        assert len(_shard_bounds(tc.batch_size, cfg)) == (2 if sharded else 1)
+        calls, graph_leaves = [], []
+        real_adamw, real_forward = train_module.adamw_step, train_module.mae_forward
+
+        def adamw(params, grads, state, lr, opt_cfg, *, no_decay):
+            assert list(grads) == list(params) == list(state.spans)
+            assert all(isinstance(g, np.ndarray) for g in grads.values())
+            calls.append(state)
+            real_adamw(params, grads, state, lr, opt_cfg, no_decay=no_decay)
+
+        def forward(spec, cfg, params, seed):
+            graph_leaves.extend(params.named().values())
+            return real_forward(spec, cfg, params, seed=seed)
+
+        monkeypatch.setattr(train_module, "adamw_step", adamw)
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        result = train(specs, cfg, tc, max_steps=steps)
+        assert len(calls) == len(result.losses) == steps and calls[0].step == steps
+        # every shard's graph reads the views that the update writes
+        assert all(np.shares_memory(t.data, calls[0].params) for t in graph_leaves)
