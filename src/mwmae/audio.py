@@ -8,12 +8,14 @@ out frames x bins (T x F) and standardized per instance.
 
 from __future__ import annotations
 
+import functools
 import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioFormatError, ContractError
 
@@ -111,13 +113,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank(
     n_mels: int = N_MELS,
     n_fft: int = WIN_LENGTH,
     fmin: float = FMIN,
     fmax: float = FMAX,
 ) -> np.ndarray:
-    """Triangular filters on the HTK mel scale, shape (n_mels, n_fft//2 + 1)."""
+    """Triangular filters on the HTK mel scale, shape (n_mels, n_fft//2 + 1).
+
+    Built once per argument set and shared by every caller, so it is
+    read-only.
+    """
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     fft_hz = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
     fb = np.zeros((n_mels, len(fft_hz)))
@@ -126,6 +133,7 @@ def mel_filterbank(
         rising = (fft_hz - lo) / (center - lo)
         falling = (hi - fft_hz) / (hi - center)
         fb[m] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
 
 
@@ -142,8 +150,8 @@ def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
         return np.full(n + 2 * pad, x[0])
     idx = np.arange(-pad, n + pad)
     period = 2 * (n - 1)
-    idx = np.abs(np.mod(idx, period))
-    idx = np.where(idx >= n, period - idx, idx)
+    np.mod(idx, period, out=idx)
+    np.subtract(period, idx, out=idx, where=idx >= n)
     return x[idx]
 
 
@@ -152,22 +160,24 @@ def _hann_periodic(n: int) -> np.ndarray:
 
 
 def logmel(clip: AudioClip) -> np.ndarray:
-    """Log-mel spectrogram, shape (floor(len/hop)+1, 80)."""
+    """Log-mel spectrogram, shape (floor(len/hop)+1, 80).
+
+    The frames are read as windows of the padded signal, with no index
+    array or gathered copy, and the square and log run in place: `extract`
+    computes two clips' spectrograms at once.
+    """
     x = clip.samples
     if len(x) < HOP_LENGTH:
         raise ContractError(
             f"clip too short: {len(x)} samples, need at least one hop ({HOP_LENGTH})"
         )
-    pad = WIN_LENGTH // 2
-    padded = _reflect_pad(x, pad)
-    n_frames = len(x) // HOP_LENGTH + 1
-    window = _hann_periodic(WIN_LENGTH)
-    starts = np.arange(n_frames) * HOP_LENGTH
-    frames = padded[starts[:, None] + np.arange(WIN_LENGTH)] * window
-    spectrum = np.fft.rfft(frames, axis=1)
-    power = np.abs(spectrum) ** 2
+    # len + 1 windows of the padded signal; every hop-th is a frame.
+    windows = sliding_window_view(_reflect_pad(x, WIN_LENGTH // 2), WIN_LENGTH)
+    power = np.abs(np.fft.rfft(windows[::HOP_LENGTH] * _hann_periodic(WIN_LENGTH), axis=1))
+    power **= 2
     mel = power @ mel_filterbank().T
-    return np.log(mel + LOG_FLOOR)
+    mel += LOG_FLOOR
+    return np.log(mel, out=mel)
 
 
 def standardize(spec: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ leading index of the left, so the same code runs on (n, d) and (B, n, d).
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,19 +26,27 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # every thread starts out recording
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Skip graph recording inside the block (pure inference)."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Skip graph recording inside the block (pure inference).
+
+    The flag is per thread, so threads entering and leaving their own
+    blocks in any order never change each other's recording.
+    """
+    saved = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _grad_mode.enabled = saved
 
 
 class Tensor:
@@ -77,7 +86,10 @@ class Tensor:
     # -- autodiff --
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero the gradient in place, so a `.grad` bound to a view of a
+        flat buffer (`OptimizerState.bind_grads`) stays bound."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
@@ -183,7 +195,7 @@ def _node(
     out.data = data
     out.grad = None
     out.requires_grad = False
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad or p._backward is not None for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
     else:

@@ -8,6 +8,7 @@ layer-norm parameters and the mask token.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -246,6 +247,48 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+@functools.cache
+def _blas_thread_hooks():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None.
+
+    The scipy-openblas build that numpy wheels bundle exports them; the
+    numpy extension module links that library, so a lookup through it
+    finds them without naming the library's file.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with BLAS on one thread, then restore the old count.
+
+    Inside a two-thread pool each thread's matmuls then stay on its own
+    core instead of starting BLAS threads that compete for both, and the
+    numbers do not depend on the library's thread count. The count is
+    process-wide, so blocks on different threads must not overlap. Where
+    numpy's OpenBLAS hooks are missing it does nothing.
+    """
+    hooks = _blas_thread_hooks()
+    if hooks is None:
+        yield
+        return
+    get, set_ = hooks
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 # A step is split into two shards when one shard's attention scores, shard
 # size x n_p x the sum of the decoder windows, reach this many elements.
 # Below it the graphs are small and their Python-side work holds the GIL,
@@ -313,7 +356,9 @@ def train(
     `_shard_bounds`), each with its own graph against its own replica of
     the parameter leaves, on two pool threads. Their gradients are summed
     in shard order before the one AdamW step, so the numbers do not depend
-    on which thread or core runs a shard.
+    on which thread or core runs a shard. The loop runs with BLAS on one
+    thread (`one_blas_thread`), so they do not depend on the caller's BLAS
+    thread count either.
     """
     if max_steps is not None and max_steps < 1:
         raise ContractError(f"max_steps must be >= 1 or None, got {max_steps}")
@@ -365,7 +410,7 @@ def train(
 
     # The pool starts its threads on first use, so a one-shard run, which
     # keeps its graph on the calling thread, has none.
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
         run_shards = pool.map if len(shards) > 1 else map
         for epoch in range(train_cfg.total_epochs):
             order = order_rng.permutation(n)

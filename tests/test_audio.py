@@ -5,11 +5,13 @@ import wave
 import numpy as np
 import pytest
 
+from mwmae import audio
 from mwmae.audio import (
     AudioClip,
     HOP_LENGTH,
     LOG_FLOOR,
     SAMPLE_RATE,
+    WIN_LENGTH,
     crop_or_pad,
     load_wav,
     logmel,
@@ -204,11 +206,59 @@ class TestLogmel:
         assert np.all(np.isfinite(spec))
 
 
+def _reflect_pad_reference(x, pad):
+    n = len(x)
+    if n == 1:
+        return np.full(n + 2 * pad, x[0])
+    idx = np.arange(-pad, n + pad)
+    period = 2 * (n - 1)
+    idx = np.abs(np.mod(idx, period))
+    idx = np.where(idx >= n, period - idx, idx)
+    return x[idx]
+
+
+def _logmel_reference(clip):
+    """Frames gathered through an index array, and a filterbank built anew."""
+    x = clip.samples
+    padded = _reflect_pad_reference(x, WIN_LENGTH // 2)
+    n_frames = len(x) // HOP_LENGTH + 1
+    starts = np.arange(n_frames) * HOP_LENGTH
+    frames = padded[starts[:, None] + np.arange(WIN_LENGTH)] * audio._hann_periodic(WIN_LENGTH)
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    mel = power @ mel_filterbank.__wrapped__().T
+    return np.log(mel + LOG_FLOOR)
+
+
+class TestLogmelReference:
+    @pytest.mark.parametrize("n", [HOP_LENGTH, 161, 399, 400, 401, 3199, 2 * SAMPLE_RATE,
+                                   3 * SAMPLE_RATE + 123])
+    def test_same_bytes_as_gathered_frames(self, n):
+        for scale in (1e-9, 0.1, 1.0):
+            clip = AudioClip(np.random.default_rng(n).normal(0, scale, n))
+            got, want = logmel(clip), _logmel_reference(clip)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 199, 200, 201, 1000])
+    def test_reflect_pad(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        for pad in (0, 1, 3, 200, 450):
+            assert audio._reflect_pad(x, pad).tobytes() == _reflect_pad_reference(x, pad).tobytes()
+
+
 class TestFilterbank:
     def test_rows_sum_positive(self):
         fb = mel_filterbank()
         assert fb.shape == (80, 201)
         assert np.all(fb.sum(axis=1) > 0)
+
+    def test_built_once_and_read_only(self):
+        fb = mel_filterbank()
+        assert mel_filterbank() is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fb[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__()
+        assert fresh is not fb and fresh.tobytes() == fb.tobytes()
 
     def test_centers_strictly_increase(self):
         centers = mel_centers()

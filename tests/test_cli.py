@@ -2,16 +2,22 @@
 
 import csv
 import json
+import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from mwmae import cli, container
 from mwmae.analysis import StackRecords, pwcca, whiten
+from mwmae.audio import load_wav, wav_paths
 from mwmae.cli import load_run_config, main
-from mwmae.container import load_tensors
+from mwmae.container import load_tensors, save_tensors
+from mwmae.evalkit import scene_embedding
 from mwmae.errors import ContractError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
+from mwmae.train import _blas_thread_hooks
 
 from _toy import FailsMidway, dense_distance, dense_entropy, full_stack_taps
 
@@ -240,6 +246,77 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "step      0" in captured.err
+
+
+class TestThreadedExtract:
+    """`extract` embeds on a two-thread pool; what it writes and raises is
+    what a serial loop over the sorted paths writes and raises."""
+
+    def _extract(self, ckpt, wav_dir, out) -> int:
+        return main(["extract", "--ckpt", str(ckpt), "--wav-dir", str(wav_dir),
+                     "--out", str(out)])
+
+    def test_same_bytes_as_a_serial_loop(self, pipeline, tmp_path):
+        _, wav_dir, ckpt, _, emb = pipeline
+        cfg, params = load_checkpoint(ckpt)
+        serial = {p.name: scene_embedding(load_wav(p), cfg, params)
+                  for p in wav_paths(wav_dir)}
+        save_tensors(tmp_path / "serial.bin", serial)
+        assert emb.read_bytes() == (tmp_path / "serial.bin").read_bytes()
+
+    def test_module_names_run_once_per_clip(self, pipeline, tmp_path, monkeypatch):
+        # perfbench's tracer wraps `cli.scene_embedding` and `cli.load_wav`.
+        _, wav_dir, ckpt, _, emb = pipeline
+        calls = {"scene_embedding": [], "load_wav": []}
+        hooks = _blas_thread_hooks()
+        blas_count = hooks[0] if hooks else lambda: 1
+        blas_before = blas_count()
+        blas_counts = set()
+        for name in calls:
+            real = getattr(cli, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name].append(threading.current_thread().name)
+                blas_counts.add(blas_count())
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "emb.bin"
+        threads = threading.active_count()
+        assert self._extract(ckpt, wav_dir, out) == 0
+        assert threading.active_count() == threads  # the pool died with the call
+        n_clips = len(wav_paths(wav_dir))
+        assert len(calls["scene_embedding"]) == len(calls["load_wav"]) == n_clips
+        assert threading.main_thread().name not in calls["scene_embedding"]
+        assert blas_counts == {1} and blas_count() == blas_before
+        assert out.read_bytes() == emb.read_bytes()
+
+    def test_first_bad_file_in_path_order_is_named(self, pipeline, tmp_path, monkeypatch,
+                                                   capsys):
+        _, wav_dir, ckpt, _, _ = pipeline
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        for i, p in enumerate(wav_paths(wav_dir)[:6]):
+            shutil.copy(p, clips / f"{i}.wav")
+        (clips / "1b.wav").write_bytes(b"not a wav file")
+        (clips / "3b.wav").write_bytes(b"RIFF")
+        real = cli.load_wav
+
+        def load(p):
+            if p.name == "1b.wav":
+                time.sleep(0.5)  # the later bad file fails first
+            return real(p)
+
+        monkeypatch.setattr(cli, "load_wav", load)
+        out = tmp_path / "emb.bin"
+        threads = threading.active_count()
+        assert self._extract(ckpt, clips, out) == 1
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: AudioFormatError: ") and "1b.wav: header" in err[0]
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clips"]
 
 
 class TestAtomicOutputs:

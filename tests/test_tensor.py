@@ -1,5 +1,9 @@
 """Autodiff engine: forward oracles and gradient checks for every op."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,6 +341,69 @@ class TestGraph:
         with T.no_grad():
             y = (x * x).sum()
         assert y._backward is None
+
+    def test_no_grad_flag_is_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        step = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def records() -> bool:
+            return (x * x)._backward is not None
+
+        # a enters first and leaves first, while b is still inside: a global
+        # flag would end up restored to b's saved False.
+        def a():
+            with T.no_grad():
+                step.wait()  # 1: a is inside
+                step.wait()  # 2: b is inside too
+                seen["a inside"] = records()
+            seen["a after"] = records()
+            step.wait()  # 3: a has left
+
+        def b():
+            step.wait()
+            with T.no_grad():
+                step.wait()
+                step.wait()
+                seen["b inside, a gone"] = records()
+            seen["b after"] = records()
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert seen == {"a inside": False, "a after": True,
+                        "b inside, a gone": False, "b after": True}
+        assert records()
+
+    def test_no_grad_under_thread_switches(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        wrong = []
+
+        def work():
+            for _ in range(300):
+                with T.no_grad():
+                    time.sleep(0)  # let another thread enter or leave
+                    if (x * x)._backward is not None:
+                        wrong.append("recorded inside no_grad")
+                if (x * x)._backward is None:
+                    wrong.append("not recording outside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert (x * x)._backward is not None
 
     def test_dropout_deterministic_per_seed(self):
         x = Tensor(np.ones((16, 16)))

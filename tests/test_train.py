@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mwmae import container
+from mwmae import tensor as T
 from mwmae.errors import ContractError, TrainingDivergedError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, mae_forward
 from mwmae.tensor import Tensor
@@ -214,6 +215,20 @@ class TestFlatAdamW:
         params["dec.w"].grad += 1.0
         start, stop = state.spans["dec.w"]
         assert buf[start:stop].all() and buf.sum() == stop - start
+
+    def test_zero_grad_keeps_a_bound_gradient_bound(self):
+        params = self._params(7)
+        state = OptimizerState.init(params)
+        buf = state.bind_grads(params)
+        w = params["dec.w"]
+        w.grad += 5.0
+        w.zero_grad()
+        assert not buf.any()
+        T.scale(w, 2.0).sum().backward()
+        start, stop = state.spans["dec.w"]
+        assert np.shares_memory(w.grad, buf)
+        np.testing.assert_array_equal(buf[start:stop], 2.0)
+        assert buf.sum() == 2.0 * (stop - start)
 
     def test_non_finite_grad_names_first_and_changes_nothing(self):
         cfg = TrainConfig(weight_decay=0.05)
@@ -612,3 +627,69 @@ class TestStepSeam:
         assert len(calls) == len(result.losses) == steps and calls[0].step == steps
         # every shard's graph reads the views that the update writes
         assert all(np.shares_memory(t.data, calls[0].params) for t in graph_leaves)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count hooks; the test's count is
+    undone afterwards."""
+    hooks = train_module._blas_thread_hooks()
+    if hooks is None:
+        pytest.skip("numpy's BLAS exports no thread-count hooks")
+    get, set_ = hooks
+    saved = get()
+    yield get, set_
+    set_(saved)
+
+
+class TestOneBlasThread:
+    """`train()` runs its loop with BLAS on one thread and then restores the
+    caller's count, so the loss CSV does not depend on that count."""
+
+    def test_loss_csv_is_the_same_for_any_blas_count(self, tmp_path, monkeypatch,
+                                                      blas_threads):
+        get, set_ = blas_threads
+        counts_inside = []
+        real = train_module.mae_forward
+
+        def forward(spec, cfg, params, seed):
+            counts_inside.append(get())
+            return real(spec, cfg, params, seed=seed)
+
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        csvs = []
+        for count in (1, 2):
+            set_(count)
+            loss_csv = tmp_path / f"loss{count}.csv"
+            # All 8 sharded steps: unpinned, two BLAS threads round step 7's
+            # loss differently from one.
+            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(),
+                  loss_csv=loss_csv)
+            assert get() == count
+            csvs.append(loss_csv.read_bytes())
+        assert len(counts_inside) == 2 * 8 * 2 and set(counts_inside) == {1}
+        assert csvs[0] == csvs[1]
+
+    def test_count_restored_after_divergence(self, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        specs = toy_spectrograms(8, seed=6)
+        specs[3] = np.full_like(specs[3], np.nan)
+        with pytest.raises(TrainingDivergedError, match="step 0"):
+            train(specs, tiny_config(), toy_train_config(), max_steps=2)
+        assert get() == 2
+
+    @pytest.mark.parametrize("library", ["missing", "without hooks"])
+    def test_no_op_without_the_hooks(self, monkeypatch, library):
+        def cdll(name):
+            if library == "missing":
+                raise OSError("no such library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        hooks = train_module._blas_thread_hooks.__wrapped__()
+        assert hooks is None
+        monkeypatch.setattr(train_module, "_blas_thread_hooks", lambda: hooks)
+        result = train(toy_spectrograms(8, seed=6), tiny_config(), toy_train_config(),
+                       max_steps=1)
+        assert np.isfinite(result.losses).all()
