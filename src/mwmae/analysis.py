@@ -23,9 +23,31 @@ from .model import (
     tap_encoder,
 )
 from .tensor import no_grad
+from .train import two_thread_map
 
 # Singular values at or below this fraction of the largest count as rank-deficient.
 RANK_RTOL = 1e-10
+
+# `collect_stack` and `pwcca_matrix` run on two threads (`two_thread_map`)
+# when the tapped stack is at least this wide (d_m, the sum of its heads'
+# widths). Narrower stacks run on the calling thread: their numpy calls are
+# small, the Python around them holds the GIL, and a second thread only
+# adds contention. Median ms of `collect_stack` plus `pwcca_matrix`,
+# serial / pooled (8 heads over 250 patches, depth 2, one BLAS thread,
+# 2 cores); the crossover lies between widths 128 and 160:
+#   width       16      64       128      160      192      384
+#   16 clips    79/84   130/129  211/216  341/246  389/293  1157/709
+#   8 clips     -       76/80    120/118  139/126  229/158  -
+#   4 clips     24/30   -        79/65    100/75   157/106  342/243
+POOL_MIN_WIDTH = 160
+
+
+def _map(fn, items, width: int) -> list:
+    """`[fn(x) for x in items]`, on two threads for a stack of `width` at
+    least `POOL_MIN_WIDTH`, else on the calling thread."""
+    if width < POOL_MIN_WIDTH:
+        return list(map(fn, items))
+    return two_thread_map(fn, items)
 
 
 @dataclass
@@ -247,27 +269,30 @@ def collect_stack(
     Each stack runs only up to its last block's attention. The encoder is
     analyzed with full visibility. The decoder needs a mask to build its
     input; a fixed per-example seed keeps results deterministic for a given
-    checkpoint and dataset.
+    checkpoint and dataset. Examples are tapped one per task of `_map`,
+    and come back in `specs` order.
     """
     if not specs:
         raise ContractError("empty dataset")
     if stack not in ("encoder", "decoder"):
         raise ContractError(f"stack must be 'encoder' or 'decoder', got {stack!r}")
     if stack == "encoder":
-        depth, n_heads = cfg.enc_depth, cfg.enc_heads
+        depth, n_heads, width = cfg.enc_depth, cfg.enc_heads, cfg.enc_width
     else:
-        depth, n_heads = cfg.dec_depth, cfg.dec_heads
-    taps: list[list[HeadTap]] = []
-    with no_grad():
-        for i, spec in enumerate(specs):
-            patches = patchify(spec, cfg.patch_t, cfg.patch_f)
-            ex_taps = [HeadTap(keep_probs=probs) for _ in range(depth)]
+        depth, n_heads, width = cfg.dec_depth, cfg.dec_heads, cfg.dec_width
+
+    def tap(i: int) -> list[HeadTap]:
+        patches = patchify(specs[i], cfg.patch_t, cfg.patch_f)
+        ex_taps = [HeadTap(keep_probs=probs) for _ in range(depth)]
+        with no_grad():  # per thread: a pool thread enters it itself
             if stack == "encoder":
                 tap_encoder(patches, cfg, params, ex_taps)
             else:
                 mask = random_mask(cfg.n_p, cfg.mask_ratio, seed=i)
                 tap_decoder(encode(patches, mask, cfg, params), mask, cfg, params, ex_taps)
-            taps.append(ex_taps)
+        return ex_taps
+
+    taps = _map(tap, range(len(specs)), width)
     return StackRecords(depth, n_heads, taps, cfg.n_p)
 
 
@@ -330,11 +355,13 @@ def pwcca_matrix(records: StackRecords) -> tuple[np.ndarray, list[str]]:
     diagonal is guaranteed to be 1. Each head is whitened once into a shared
     array (`StackRecords.whiten_heads`), so the cost is H SVDs over all
     rows, one Gram of that array, and H^2 small k x k SVDs of its blocks.
+    The whitening runs on the calling thread; the rows go one per task of
+    `_map`, gated on the summed head widths.
     """
     feats = records.whiten_heads()
-    h = len(feats)
-    out = np.zeros((h, h))
-    for i in range(h):
-        for j in range(h):
-            out[i, j] = pwcca(feats[i], feats[j])
-    return out, records.labels()
+
+    def row(i: int) -> list[float]:
+        return [pwcca(feats[i], f) for f in feats]
+
+    width = sum(f.shape[1] for f in feats[:records.n_heads])  # one layer's d_m
+    return np.array(_map(row, range(len(feats)), width)), records.labels()

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
 from .model import MaeConfig, check_config_field, load_checkpoint
 from .synth import default_spec, gen_corpus, read_labels, KINDS
-from .train import TrainConfig, WavSpecDataset, one_blas_thread, train
+from .train import TrainConfig, WavSpecDataset, train, two_thread_map
 
 _MAE_DEFAULTS = {f.name: f.default for f in fields(MaeConfig)}
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
@@ -118,7 +117,7 @@ def _load_specs(wav_dir: str, cfg: MaeConfig) -> list[np.ndarray]:
 
 
 def _cmd_extract(args) -> int:
-    """Embed the clips on two threads, one BLAS thread each; the frozen
+    """Embed the clips on two threads (`two_thread_map`); the frozen
     parameters are only read. Results and the first error come in path
     order, as from a serial loop."""
     cfg, params = load_checkpoint(args.ckpt)
@@ -127,8 +126,7 @@ def _cmd_extract(args) -> int:
     def embed(p: Path) -> np.ndarray:
         return scene_embedding(load_wav(p), cfg, params)
 
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-        vectors = list(pool.map(embed, paths))
+    vectors = two_thread_map(embed, paths)
     out = {str(p.relative_to(args.wav_dir)): v for p, v in zip(paths, vectors)}
     save_tensors(args.out, out)
     _log(f"wrote {len(out)} embeddings to {args.out}")

@@ -36,14 +36,15 @@ def scene_embedding(clip: AudioClip, cfg: MaeConfig, params: MaeParams) -> np.nd
     """
     chunk_len = int(CHUNK_SECONDS * SAMPLE_RATE)
     samples = clip.samples
-    n_chunks = max(1, int(np.ceil(len(samples) / chunk_len)))
-    padded = np.zeros(n_chunks * chunk_len)
-    padded[:len(samples)] = samples
+    # Full chunks are views of the samples; only a partial last one is copied.
+    chunks = [samples[at:at + chunk_len] for at in range(0, len(samples), chunk_len)]
+    if len(chunks[-1]) < chunk_len:
+        chunks[-1] = np.pad(chunks[-1], (0, chunk_len - len(chunks[-1])))
 
     token_blocks = []
     with no_grad():
-        for c in range(n_chunks):
-            chunk = AudioClip(padded[c * chunk_len:(c + 1) * chunk_len])
+        for piece in chunks:
+            chunk = AudioClip(piece)
             # truncate, then zero-pad: a spec no longer than input_t is never cropped
             spec = crop_or_pad(standardize(logmel(chunk))[:cfg.input_t], cfg.input_t, seed=0)
             patches = patchify(spec, cfg.patch_t, cfg.patch_f)

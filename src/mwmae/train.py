@@ -289,6 +289,22 @@ def one_blas_thread():
         set_(saved)
 
 
+def two_thread_map(fn, items) -> list:
+    """`[fn(x) for x in items]`, run on a two-thread pool with BLAS pinned
+    to one thread (`one_blas_thread`) and every thread on one malloc arena
+    (`_keep_freed_memory`).
+
+    Results and the first exception come in `items` order, as from the
+    loop; a raise cancels the tasks not yet started, and the pool's
+    threads are joined before this returns. `fn` runs on the pool's
+    threads, so per-thread state such as `no_grad` must be entered inside
+    it.
+    """
+    _keep_freed_memory()
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(fn, items))
+
+
 # A step is split into two shards when one shard's attention scores, shard
 # size x n_p x the sum of the decoder windows, reach this many elements.
 # Below it the graphs are small and their Python-side work holds the GIL,

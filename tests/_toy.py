@@ -10,13 +10,27 @@ import errno
 import importlib
 
 import numpy as np
+import pytest
 
 from mwmae import MaeConfig
 from mwmae.attention import HeadTap
 from mwmae.audio import standardize
 from mwmae.model import decode, encode, encode_all, mae_forward, patchify, random_mask
 from mwmae.tensor import no_grad
-from mwmae.train import TrainConfig
+from mwmae.train import TrainConfig, _blas_thread_hooks
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count hooks; the test's count is
+    undone afterwards."""
+    hooks = _blas_thread_hooks()
+    if hooks is None:
+        pytest.skip("numpy's BLAS exports no thread-count hooks")
+    get, set_ = hooks
+    saved = get()
+    yield get, set_
+    set_(saved)
 
 
 def tiny_config(**overrides) -> MaeConfig:

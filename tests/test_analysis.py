@@ -1,8 +1,12 @@
 """Entropy, attention distance, and PWCCA against closed forms and brute force."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from mwmae import analysis, tensor
 from mwmae.analysis import (
     AttnRecord,
     PatchGrid,
@@ -15,9 +19,11 @@ from mwmae.analysis import (
 )
 from mwmae.attention import window_schedule
 from mwmae.errors import ContractError, DegenerateInputError
-from mwmae.model import MaeParams
+from mwmae.model import MaeConfig, MaeParams
+from mwmae.train import _blas_thread_hooks, one_blas_thread
 
-from _toy import dense_distance, dense_entropy, tiny_config, toy_spectrograms
+from _toy import (blas_threads, dense_distance,  # noqa: F401 (a fixture)
+                  dense_entropy, tiny_config, toy_spectrograms)
 
 
 def _pwcca_reference(x, y, rank_rtol=1e-10):
@@ -487,3 +493,118 @@ class TestAttentionRecordsFromModel:
         for head, win in enumerate(cfg.dec_schedule.windows):
             for ex, p in zip(records.taps, records.record(1, head).probs, strict=True):
                 assert p is ex[1].probs[head] and p.shape == (cfg.n_p // win, win, win)
+
+
+# perfbench's decoders: the companion's (width 16, d_k 2) and the evaluate
+# workload's paper-width one (width 384, 8 heads of d_k 48), on the
+# pipeline's 250-patch encoder.
+COMPANION = MaeConfig(patch_t=4, patch_f=16, enc_depth=2, enc_width=32, enc_heads=2,
+                      dec_depth=2, dec_width=16, seed=5)
+EVALUATE = MaeConfig(patch_t=4, patch_f=16, enc_depth=2, enc_width=32, enc_heads=2,
+                     dec_depth=2, dec_width=384, seed=5)
+
+
+def _spy(monkeypatch, owner, name, seen):
+    """Wrap `owner.name` to record, per call, whether it ran on the calling
+    thread, the grad mode and the BLAS thread count."""
+    real = getattr(owner, name)
+    hooks = _blas_thread_hooks()
+    caller = threading.get_ident()
+
+    def spy(*args, **kwargs):
+        seen.append((threading.get_ident() == caller, tensor._grad_mode.enabled,
+                     hooks[0]() if hooks else 1))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _serial(monkeypatch):
+    """Every `_map` below the gate: the calling thread's plain loop."""
+    monkeypatch.setattr(analysis, "POOL_MIN_WIDTH", sys.maxsize)
+
+
+class TestPoolGate:
+    """Stacks narrower than `POOL_MIN_WIDTH` keep the tap and PWCCA loops
+    on the calling thread; the paper-width decoder runs them on the pool."""
+
+    @pytest.mark.parametrize("cfg, on_pool", [(COMPANION, False), (EVALUATE, True)])
+    def test_threads_by_decoder_width(self, monkeypatch, cfg, on_pool):
+        assert (cfg.dec_width >= analysis.POOL_MIN_WIDTH) == on_pool
+        taps, rows = [], []
+        _spy(monkeypatch, analysis, "tap_decoder", taps)
+        _spy(monkeypatch, analysis, "pwcca", rows)
+        threads = threading.active_count()
+        records = collect_stack(cfg, MaeParams.init(cfg),
+                                toy_spectrograms(2, shape=(200, 80), seed=3),
+                                stack="decoder", probs=False)
+        pwcca_matrix(records)
+        assert threading.active_count() == threads
+        assert len(taps) == 2 and len(rows) == (2 * cfg.dec_heads) ** 2
+        assert {caller for caller, _, _ in taps + rows} == {not on_pool}
+
+
+class TestThreadedAnalysis:
+    """Above the gate, the pool's taps and PWCCA matrix are bit-equal to the
+    calling thread's loop at the pool's one BLAS thread, and the pool leaves
+    no thread or BLAS count behind. (OpenBLAS rounds some products
+    differently on two threads, so the loop is pinned as the pool is.)"""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = EVALUATE
+        return cfg, MaeParams.init(cfg), toy_spectrograms(5, shape=(200, 80), seed=4)
+
+    @pytest.mark.parametrize("probs", [False, True])
+    def test_taps_bit_equal_to_the_serial_loop(self, model, monkeypatch, probs):
+        cfg, params, specs = model
+        seen = []
+        _spy(monkeypatch, analysis, "tap_decoder", seen)
+        pooled = collect_stack(cfg, params, specs, stack="decoder", probs=probs)
+        # every clip on a worker, with grad mode off there and one BLAS thread
+        assert seen == [(False, False, 1)] * len(specs)
+        _serial(monkeypatch)
+        with one_blas_thread():
+            serial = collect_stack(cfg, params, specs, stack="decoder", probs=probs)
+        assert [caller for caller, _, _ in seen[len(specs):]] == [True] * len(specs)
+        for ex_a, ex_b in zip(pooled.taps, serial.taps, strict=True):
+            for a, b in zip(ex_a, ex_b, strict=True):
+                assert len(a.head_out) == len(b.head_out) == cfg.dec_heads
+                assert len(a.probs) == len(b.probs) == (cfg.dec_heads if probs else 0)
+                for x, y in zip(a.head_out + a.probs, b.head_out + b.probs, strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_pwcca_matrix_bit_equal_to_the_serial_loop(self, model, monkeypatch):
+        cfg, params, specs = model
+        records = collect_stack(cfg, params, specs, stack="decoder", probs=False)
+        seen = []
+        _spy(monkeypatch, analysis, "pwcca", seen)
+        with one_blas_thread():  # the whitening runs on the calling thread
+            pooled, labels = pwcca_matrix(records)
+        h = cfg.dec_depth * cfg.dec_heads
+        assert [(caller, blas) for caller, _, blas in seen] == [(False, 1)] * h * h
+        _serial(monkeypatch)
+        with one_blas_thread():
+            serial, serial_labels = pwcca_matrix(records)
+        assert labels == serial_labels
+        assert pooled.shape == (h, h) and pooled.tobytes() == serial.tobytes()
+
+    def test_error_on_clip_k_surfaces_and_the_pool_is_gone(self, model, monkeypatch,
+                                                          blas_threads):
+        cfg, params, specs = model
+        get, set_ = blas_threads
+        set_(2)
+        boom = RuntimeError("clip 3 failed")
+        real_mask = analysis.random_mask
+
+        def mask(n_p, ratio, seed):
+            if seed == 3:
+                raise boom
+            return real_mask(n_p, ratio, seed=seed)
+
+        monkeypatch.setattr(analysis, "random_mask", mask)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            collect_stack(cfg, params, specs, stack="decoder", probs=False)
+        assert caught.value is boom
+        assert threading.active_count() == threads and get() == 2

@@ -3,13 +3,14 @@
 import csv
 import json
 import shutil
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from mwmae import cli, container
+from mwmae import analysis, cli, container
 from mwmae.analysis import StackRecords, pwcca, whiten
 from mwmae.audio import load_wav, wav_paths
 from mwmae.cli import load_run_config, main
@@ -19,7 +20,8 @@ from mwmae.errors import ContractError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
 from mwmae.train import _blas_thread_hooks
 
-from _toy import FailsMidway, dense_distance, dense_entropy, full_stack_taps
+from _toy import (FailsMidway, blas_threads,  # noqa: F401 (a fixture)
+                  dense_distance, dense_entropy, full_stack_taps)
 
 # patch 20x16 over 200x80 -> 50 patches: smallest model that accepts real audio
 FAST_CONFIG = {
@@ -489,3 +491,72 @@ class TestAnalyzeAt250Patches:
         cfg = setup[2]
         self._check_against_dense(setup, "distance", stack,
                                   lambda probs: dense_distance(probs, cfg.grid_t, cfg.grid_f))
+
+
+class TestThreadedAnalyze:
+    """`analyze` over stacks above `analysis.POOL_MIN_WIDTH` taps its clips
+    and PWCCA rows on two threads and writes what the calling thread's loop
+    writes, byte for byte, at one BLAS thread throughout (OpenBLAS on two
+    threads rounds some products differently, pool or not)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("analyze_pool")
+        wav_dir = root / "wavs"
+        assert main(["synth", "--kind", "tone", "--n", "3", "--seed", "2",
+                     "--out", str(wav_dir)]) == 0
+        cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=256, enc_heads=4,
+                        dec_depth=2, dec_width=384, seed=4)
+        assert min(cfg.enc_width, cfg.dec_width) >= analysis.POOL_MIN_WIDTH
+        save_checkpoint(root / "model.bin", cfg, MaeParams.init(cfg))
+        return root, wav_dir
+
+    @staticmethod
+    def _argv(root, wav_dir, metric, stack, out):
+        return ["analyze", metric, "--ckpt", str(root / "model.bin"), "--data", str(wav_dir),
+                "--out", str(out), "--stack", stack]
+
+    @pytest.mark.parametrize("metric, stack", [
+        ("pwcca", "decoder"), ("entropy", "encoder"), ("entropy", "decoder"),
+        ("distance", "encoder"), ("distance", "decoder")])
+    def test_csv_bytes_match_the_serial_path(self, setup, tmp_path, monkeypatch,
+                                             blas_threads, metric, stack):
+        root, wav_dir = setup
+        _, set_ = blas_threads
+        set_(1)  # for both runs, as perfbench sets it
+        workers = []
+        real = analysis.patchify
+
+        def spy(*args):
+            workers.append(threading.current_thread() is not threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "patchify", spy)
+        pooled = tmp_path / "pooled.csv"
+        assert main(self._argv(root, wav_dir, metric, stack, pooled)) == 0
+        monkeypatch.setattr(analysis, "POOL_MIN_WIDTH", sys.maxsize)
+        serial = tmp_path / "serial.csv"
+        assert main(self._argv(root, wav_dir, metric, stack, serial)) == 0
+        assert workers == [True] * 3 + [False] * 3
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_error_on_one_clip_leaves_no_thread_or_file(self, setup, tmp_path, monkeypatch,
+                                                        capsys, blas_threads):
+        root, wav_dir = setup
+        get, set_ = blas_threads
+        set_(2)
+        real = analysis.random_mask
+
+        def mask(n_p, ratio, seed):
+            if seed == 1:
+                raise FloatingPointError("clip 1 went non-finite")
+            return real(n_p, ratio, seed=seed)
+
+        monkeypatch.setattr(analysis, "random_mask", mask)
+        out = tmp_path / "pwcca.csv"
+        threads = threading.active_count()
+        assert main(self._argv(root, wav_dir, "pwcca", "decoder", out)) == 1
+        assert threading.active_count() == threads and get() == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: FloatingPointError: clip 1 went non-finite"]
+        assert list(tmp_path.iterdir()) == []

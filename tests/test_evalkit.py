@@ -5,7 +5,7 @@ import pytest
 
 from mwmae import evalkit
 from mwmae import tensor as T
-from mwmae.audio import SAMPLE_RATE, AudioClip
+from mwmae.audio import SAMPLE_RATE, AudioClip, crop_or_pad, logmel, standardize
 from mwmae.errors import ContractError
 from mwmae.evalkit import (
     TaskScoreTable,
@@ -15,7 +15,7 @@ from mwmae.evalkit import (
 )
 from mwmae.cli import main
 from mwmae.container import save_tensors
-from mwmae.model import MaeConfig, MaeParams
+from mwmae.model import MaeConfig, MaeParams, encode_all, patchify
 
 
 def _embed_config():
@@ -59,6 +59,26 @@ class TestSceneEmbedding:
         a = scene_embedding(clip, self.cfg, self.params)
         b = scene_embedding(clip, self.cfg, self.params)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("chunks", [0.35, 1.0, 1.5])
+    def test_same_bytes_as_padding_the_whole_clip(self, chunks):
+        # The reference zero-pads the whole clip to a multiple of the chunk
+        # length and slices every chunk from that copy.
+        chunk_len = int(evalkit.CHUNK_SECONDS * SAMPLE_RATE)
+        clip = _tone(610, chunks * evalkit.CHUNK_SECONDS)
+        n_chunks = -(-len(clip.samples) // chunk_len)
+        padded = np.zeros(n_chunks * chunk_len)
+        padded[:len(clip.samples)] = clip.samples
+        blocks = []
+        with T.no_grad():
+            for c in range(n_chunks):
+                spec = standardize(logmel(AudioClip(padded[c * chunk_len:(c + 1) * chunk_len])))
+                spec = crop_or_pad(spec[:self.cfg.input_t], self.cfg.input_t, seed=0)
+                patches = patchify(spec, self.cfg.patch_t, self.cfg.patch_f)
+                blocks.append(encode_all(patches, self.cfg, self.params).data)
+        want = np.concatenate(blocks, axis=0).mean(axis=0)
+        got = scene_embedding(clip, self.cfg, self.params)
+        assert got.tobytes() == want.tobytes()
 
 
 def _blobs(n_per_class, n_classes, dim, margin, seed):

@@ -28,7 +28,8 @@ from mwmae.train import (
     train,
 )
 
-from _toy import FailsMidway, tiny_config, toy_spectrograms, toy_train_config
+from _toy import (FailsMidway, blas_threads, tiny_config,  # noqa: F401 (a fixture)
+                  toy_spectrograms, toy_train_config)
 
 
 class TestEffectiveLr:
@@ -627,19 +628,6 @@ class TestStepSeam:
         assert len(calls) == len(result.losses) == steps and calls[0].step == steps
         # every shard's graph reads the views that the update writes
         assert all(np.shares_memory(t.data, calls[0].params) for t in graph_leaves)
-
-
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS (get, set) thread-count hooks; the test's count is
-    undone afterwards."""
-    hooks = train_module._blas_thread_hooks()
-    if hooks is None:
-        pytest.skip("numpy's BLAS exports no thread-count hooks")
-    get, set_ = hooks
-    saved = get()
-    yield get, set_
-    set_(saved)
 
 
 class TestOneBlasThread:
