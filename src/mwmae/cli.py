@@ -20,7 +20,8 @@ import numpy as np
 
 from .analysis import (PatchGrid, attention_entropy, collect_stack, head_table,
                        mean_attention_distance, pwcca_matrix)
-from .audio import crop_or_pad, load_wav, logmel, standardize, wav_paths
+from .audio import crop_or_pad, load_wav, wav_paths
+from .audio import logmel  # noqa: F401 - perfbench's tracer wraps `cli.logmel`
 from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
@@ -32,6 +33,8 @@ _MAE_DEFAULTS = {f.name: f.default for f in fields(MaeConfig)}
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 # Int fields where 0 is meaningful; every other int field must be >= 1.
 _ZERO_OK = {"seed", "warmup_epochs", "ckpt_every_epochs"}
+# Float fields that must be >= 0.
+_RATES = {"base_lr", "weight_decay", "min_lr"}
 
 
 def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | None]:
@@ -39,7 +42,8 @@ def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | Non
 
     Every value is type-checked before any config is built, with the rules
     of a checkpoint's sidecar (`model.check_config_field`); `betas` is two
-    numbers and `max_steps` an int >= 1 or null. A bad value raises ContractError
+    numbers in [0, 1), `base_lr`, `weight_decay` and `min_lr` are >= 0, and
+    `max_steps` is an int >= 1 or null. A bad value raises ContractError
     naming the field.
     """
     try:
@@ -59,9 +63,14 @@ def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | Non
                 raise ContractError(f"{path}: field 'betas' must be two numbers, got {value!r}")
             for b in value:
                 check_config_field(path, name, b, 0.0)
+                if not 0.0 <= b < 1.0:  # beta = 1 zeroes AdamW's bias correction
+                    raise ContractError(
+                        f"{path}: field 'betas' must be two numbers in [0, 1), got {value!r}")
         elif not (name == "max_steps" and value is None):  # null: no step cap
             check_config_field(path, name, value, defaults[name],
                                low=0 if name in _ZERO_OK else 1)
+            if name in _RATES and value < 0:
+                raise ContractError(f"{path}: field {name!r} must be >= 0, got {value}")
     mae_kwargs = {k: raw[k] for k in raw if k in _MAE_DEFAULTS}
     train_kwargs = {k: raw[k] for k in raw if k in _TRAIN_DEFAULTS}
     if "betas" in train_kwargs:
@@ -75,13 +84,13 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolve_seed(args, fallback: int = 0) -> int:
+def _resolve_seed(args) -> int:
     sub = getattr(args, "seed", None)
     if sub is not None:
         return sub
     if args.global_seed is not None:
         return args.global_seed
-    return fallback
+    return 0
 
 
 def _cmd_synth(args) -> int:
@@ -106,14 +115,6 @@ def _cmd_pretrain(args) -> int:
     )
     _log(f"final loss {result.losses[-1]:.6f}; checkpoint at {args.out}")
     return 0
-
-
-def _load_specs(wav_dir: str, cfg: MaeConfig) -> list[np.ndarray]:
-    specs = []
-    for i, p in enumerate(wav_paths(wav_dir)):
-        spec = standardize(logmel(load_wav(p)))
-        specs.append(crop_or_pad(spec, cfg.input_t, seed=i))
-    return specs
 
 
 def _cmd_extract(args) -> int:
@@ -167,7 +168,8 @@ def _cmd_probe(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg, params = load_checkpoint(args.ckpt)
-    specs = _load_specs(args.data, cfg)
+    full = WavSpecDataset(args.data, cfg.input_t).full_specs
+    specs = [crop_or_pad(s, cfg.input_t, seed=i) for i, s in enumerate(full)]
     stack = args.stack or ("decoder" if args.metric == "pwcca" else "encoder")
     records = collect_stack(cfg, params, specs, stack=stack, probs=args.metric != "pwcca")
     if args.metric == "pwcca":

@@ -89,22 +89,11 @@ def _mean_average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(aps))
 
 
-@dataclass
-class _ProbeParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def named(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
-def _probe_forward(p: _ProbeParams, x: np.ndarray, drop_seed: int | None) -> Tensor:
-    h = T.gelu(T.linear(Tensor(x), p.w1, p.b1))
+def _probe_forward(p: dict[str, Tensor], x: np.ndarray, drop_seed: int | None) -> Tensor:
+    h = T.gelu(T.linear(Tensor(x), p["w1"], p["b1"]))
     if drop_seed is not None:
         h = T.dropout(h, PROBE_DROPOUT, drop_seed)
-    return T.linear(h, p.w2, p.b2)
+    return T.linear(h, p["w2"], p["b2"])
 
 
 def train_probe(
@@ -144,16 +133,15 @@ def train_probe(
 
     x_train = features[tr]
     rng = np.random.default_rng(seed)
-    p = _ProbeParams(
-        w1=glorot(rng, features.shape[1], PROBE_HIDDEN),
-        b1=Tensor(np.zeros(PROBE_HIDDEN), requires_grad=True),
-        w2=glorot(rng, PROBE_HIDDEN, n_out),
-        b2=Tensor(np.zeros(n_out), requires_grad=True),
-    )
-    named = p.named()
-    state = OptimizerState.init(named)
-    grad_buf = state.bind_grads(named)
-    grads = {k: t.grad for k, t in named.items()}
+    p = {  # glorot draws and the optimizer's layout follow this order
+        "w1": glorot(rng, features.shape[1], PROBE_HIDDEN),
+        "b1": Tensor(np.zeros(PROBE_HIDDEN), requires_grad=True),
+        "w2": glorot(rng, PROBE_HIDDEN, n_out),
+        "b2": Tensor(np.zeros(n_out), requires_grad=True),
+    }
+    state = OptimizerState.init(p)
+    grad_buf = state.bind_grads(p)
+    grads = {k: t.grad for k, t in p.items()}
     adam_cfg = TrainConfig(weight_decay=0.0, betas=PROBE_BETAS)
 
     def metric(x: np.ndarray, mask: np.ndarray) -> float:
@@ -182,7 +170,7 @@ def train_probe(
                 loss = T.scale((logp * targets).sum(), -1.0 / len(idx))
             grad_buf.fill(0.0)
             loss.backward()
-            adamw_step(named, grads, state, PROBE_LR, adam_cfg)
+            adamw_step(p, grads, state, PROBE_LR, adam_cfg)
 
         val = metric(features[va], va)
         if val > best_val:

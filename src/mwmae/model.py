@@ -97,15 +97,15 @@ class MaeConfig:
 
 @dataclass(frozen=True)
 class MaskSet:
-    """Partition of patch indices into visible and masked, plus the draw order.
+    """Partition of patch indices into visible and masked, each sorted.
 
     Index arrays are (k,) for one example or (B, k) for a batch, one row per
-    example (see `stack`).
+    example (see `stack`). The decoder restores patch order from the two
+    arrays alone (an argsort of visible + masked).
     """
 
     visible_idx: np.ndarray
     masked_idx: np.ndarray
-    shuffle_perm: np.ndarray
 
     def __post_init__(self):
         combined = np.concatenate([self.visible_idx, self.masked_idx], axis=-1)
@@ -124,7 +124,6 @@ class MaskSet:
         return MaskSet(
             visible_idx=np.stack([m.visible_idx for m in masks]),
             masked_idx=np.stack([m.masked_idx for m in masks]),
-            shuffle_perm=np.stack([m.shuffle_perm for m in masks]),
         )
 
 
@@ -144,11 +143,7 @@ def random_mask(n_p: int, mask_ratio: float, seed: int) -> MaskSet:
         )
     perm = np.random.default_rng(seed).permutation(n_p)
     n_vis = n_p - n_masked
-    return MaskSet(
-        visible_idx=np.sort(perm[:n_vis]),
-        masked_idx=np.sort(perm[n_vis:]),
-        shuffle_perm=perm,
-    )
+    return MaskSet(visible_idx=np.sort(perm[:n_vis]), masked_idx=np.sort(perm[n_vis:]))
 
 
 def patchify(spec: np.ndarray, patch_t: int, patch_f: int) -> np.ndarray:
@@ -398,9 +393,7 @@ def encode(patches: np.ndarray, mask: MaskSet, cfg: MaeConfig, params: MaeParams
 
 
 def _all_visible(n_p: int) -> MaskSet:
-    return MaskSet(
-        visible_idx=np.arange(n_p), masked_idx=np.arange(0), shuffle_perm=np.arange(n_p)
-    )
+    return MaskSet(visible_idx=np.arange(n_p), masked_idx=np.arange(0))
 
 
 def encode_all(patches: np.ndarray, cfg: MaeConfig, params: MaeParams) -> Tensor:

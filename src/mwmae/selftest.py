@@ -90,7 +90,8 @@ def _masking():
     mask = random_mask(250, 0.8, seed=0)
     assert len(mask.masked_idx) == 200 and len(mask.visible_idx) == 50
     again = random_mask(250, 0.8, seed=0)
-    assert np.array_equal(mask.shuffle_perm, again.shuffle_perm)
+    assert np.array_equal(mask.visible_idx, again.visible_idx)
+    assert np.array_equal(mask.masked_idx, again.masked_idx)
 
 
 @_check("patchify/unpatchify round trip")

@@ -27,6 +27,8 @@ NOISE_BANDS = 6
 MAX_VOICES = 4
 
 _SPLIT_CYCLE = ("train", "train", "valid", "test")
+_SPLITS = ("train", "valid", "test")
+_FIELDS = ("filename", "split", "label")
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,33 @@ def gen_corpus(spec: SynthSpec, n: int, seed: int, out_dir: str | Path) -> Path:
         rows.append((name, _SPLIT_CYCLE[rank % len(_SPLIT_CYCLE)], str(label)))
     with open(out_dir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["filename", "split", "label"])
+        writer.writerow(_FIELDS)
         writer.writerows(rows)
     return out_dir / "labels.csv"
 
 
 def read_labels(path: str | Path) -> list[tuple[str, str, str]]:
-    """Rows of (filename, split, label); multilabel cells use ';' separators."""
+    """Rows of (filename, split, label); multilabel cells use ';' separators.
+
+    The header must be filename,split,label; every row needs those three
+    fields and a split of train, valid or test. Anything else raises
+    ContractError naming the file, the line and the field.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["filename", "split", "label"]:
+        header = next(reader, None)
+        if header is None or header[:3] != list(_FIELDS):
             raise ContractError(
-                f"labels CSV must start with filename,split,label, got {header}"
+                f"{path}: line 1: labels CSV must start with filename,split,label, got {header}"
             )
-        return [(r[0], r[1], r[2]) for r in reader]
+        for r in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(r) < 3:
+                raise ContractError(f"{where}: field {_FIELDS[len(r)]!r} is missing")
+            if r[1] not in _SPLITS:
+                raise ContractError(
+                    f"{where}: field 'split' must be one of {', '.join(_SPLITS)}, got {r[1]!r}"
+                )
+            rows.append((r[0], r[1], r[2]))
+    return rows

@@ -196,7 +196,8 @@ class WavSpecDataset:
 
     Full spectrograms are computed once and cached; the crop window is
     re-drawn every epoch from a seed mixing (seed, epoch, index), so runs
-    stay reproducible while epochs see different segments.
+    stay reproducible while epochs see different segments. A clip shorter
+    than one hop raises ContractError naming its file.
     """
 
     def __init__(self, wav_dir: str | Path, input_t: int, seed: int = 0):
@@ -206,7 +207,14 @@ class WavSpecDataset:
         self.input_t = input_t
         self.seed = seed
         self.paths = wav_paths(wav_dir)
-        self.full_specs = [standardize(logmel(load_wav(p))) for p in self.paths]
+        self.full_specs = []
+        for p in self.paths:
+            clip = load_wav(p)
+            try:
+                mel = logmel(clip)
+            except ContractError as e:  # a clip shorter than one hop
+                raise ContractError(f"{p}: {e}") from None
+            self.full_specs.append(standardize(mel))
 
     def __len__(self):
         return len(self.paths)

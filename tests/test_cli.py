@@ -12,7 +12,8 @@ import pytest
 
 from mwmae import analysis, cli, container
 from mwmae.analysis import StackRecords, pwcca, whiten
-from mwmae.audio import load_wav, wav_paths
+from mwmae.audio import (AudioClip, crop_or_pad, load_wav, logmel, save_wav, standardize,
+                         wav_paths)
 from mwmae.cli import load_run_config, main
 from mwmae.container import load_tensors, save_tensors
 from mwmae.evalkit import scene_embedding
@@ -93,6 +94,31 @@ class TestRunConfig:
 
     def test_null_max_steps_means_no_cap(self, tmp_path):
         assert load_run_config(_write_config(tmp_path, max_steps=None))[2] is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("betas", [1.5, 0.999]),
+        ("betas", [0.9, 1.0]),  # AdamW's bias correction would divide by 0
+        ("betas", [-0.1, 0.999]),
+        ("base_lr", -1e-3),
+        ("weight_decay", -0.05),
+        ("min_lr", -1e-6),
+    ])
+    def test_out_of_range_float_names_field(self, tmp_path, capsys, field, value):
+        path = _write_config(tmp_path, **{field: value})
+        with pytest.raises(ContractError, match=f"{path}: field '{field}'"):
+            load_run_config(path)
+        assert main(["pretrain", "--config", str(path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "m.bin"),
+                     "--loss-csv", str(tmp_path / "l.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ContractError: ")
+        assert f"field '{field}'" in err[0]
+
+    def test_range_edges_accepted(self, tmp_path):
+        path = _write_config(tmp_path, betas=[0, 0.999999], base_lr=0, weight_decay=0.0,
+                             min_lr=0.0)
+        _, train_cfg, _ = load_run_config(path)
+        assert train_cfg.betas == (0, 0.999999) and train_cfg.base_lr == 0
 
 
 class TestExitCodes:
@@ -321,6 +347,64 @@ class TestThreadedExtract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clips"]
 
 
+class TestMalformedInputs:
+    """Each bad input exits 1 with one `error:` line naming the file."""
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    @pytest.fixture
+    def short_clip_dir(self, pipeline, tmp_path):
+        _, wav_dir, _, _, _ = pipeline
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        for p in wav_paths(wav_dir)[:2]:
+            shutil.copy(p, clips / p.name)
+        save_wav(clips / "short.wav", AudioClip(np.zeros(100)))  # < one hop
+        return clips
+
+    def test_too_short_wav_is_named_by_pretrain_and_analyze(self, pipeline, tmp_path,
+                                                            capsys, short_clip_dir):
+        _, _, ckpt, _, _ = pipeline
+        short = short_clip_dir / "short.wav"
+        assert main(["pretrain", "--config", str(_write_config(tmp_path)),
+                     "--data", str(short_clip_dir), "--out", str(tmp_path / "m.bin"),
+                     "--loss-csv", str(tmp_path / "l.csv")]) == 1
+        assert self._one_error_line(capsys).startswith(
+            f"error: ContractError: {short}: clip too short: 100 samples")
+        out = tmp_path / "entropy.csv"
+        assert main(["analyze", "entropy", "--ckpt", str(ckpt),
+                     "--data", str(short_clip_dir), "--out", str(out)]) == 1
+        assert self._one_error_line(capsys).startswith(
+            f"error: ContractError: {short}: clip too short: 100 samples")
+        assert not out.exists() and not (tmp_path / "m.bin").exists()
+
+    def test_extract_pads_a_too_short_wav(self, pipeline, tmp_path, short_clip_dir):
+        _, _, ckpt, _, _ = pipeline
+        out = tmp_path / "emb.bin"
+        assert main(["extract", "--ckpt", str(ckpt), "--wav-dir", str(short_clip_dir),
+                     "--out", str(out)]) == 0
+        assert "short.wav" in load_tensors(out)
+
+    def test_unknown_split_in_labels_is_named(self, pipeline, tmp_path, capsys):
+        _, wav_dir, _, _, emb = pipeline
+        lines = (wav_dir / "labels.csv").read_text().splitlines()
+        name, _, label = lines[3].split(",")
+        lines[3] = f"{name},tset,{label}"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "probe.json"
+        assert main(["probe", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(out)]) == 1
+        assert self._one_error_line(capsys) == (
+            f"error: ContractError: {labels}: line 4: field 'split' must be one of "
+            "train, valid, test, got 'tset'")
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     def test_failed_analysis_keeps_previous_csv(self, pipeline, tmp_path, monkeypatch):
         _, wav_dir, ckpt, _, _ = pipeline
@@ -433,7 +517,9 @@ class TestAnalyzeAt250Patches:
         save_checkpoint(root / "model.bin", cfg, MaeParams.init(cfg))
         # the reference runs on the stored (float32-rounded) weights
         _, params = load_checkpoint(root / "model.bin")
-        return root, wav_dir, cfg, params, cli._load_specs(str(wav_dir), cfg)
+        specs = [crop_or_pad(standardize(logmel(load_wav(p))), cfg.input_t, seed=i)
+                 for i, p in enumerate(wav_paths(wav_dir))]
+        return root, wav_dir, cfg, params, specs
 
     @staticmethod
     def _analyze(root, wav_dir, metric, stack):

@@ -93,8 +93,8 @@ class TestRandomMask:
     def test_deterministic(self):
         a = random_mask(100, 0.8, seed=42)
         b = random_mask(100, 0.8, seed=42)
-        np.testing.assert_array_equal(a.shuffle_perm, b.shuffle_perm)
         np.testing.assert_array_equal(a.visible_idx, b.visible_idx)
+        np.testing.assert_array_equal(a.masked_idx, b.masked_idx)
 
     def test_partition_and_sortedness(self):
         mask = random_mask(64, 0.75, seed=7)
@@ -120,7 +120,7 @@ class TestRandomMask:
 
     def test_maskset_validates_partition(self):
         with pytest.raises(ContractError):
-            MaskSet(np.array([0, 1]), np.array([1, 2]), np.arange(3))
+            MaskSet(np.array([0, 1]), np.array([1, 2]))
 
 
 class TestEncodeDecode:
@@ -214,7 +214,7 @@ class TestMaskedMse:
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_empty_mask_rejected(self):
-        full = MaskSet(np.arange(4), np.arange(0), np.arange(4))
+        full = MaskSet(np.arange(4), np.arange(0))
         with pytest.raises(ContractError):
             masked_mse(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), full)
 
@@ -297,7 +297,7 @@ class TestBatchedForward:
         for row, m in zip(stacked.masked_idx, masks):
             np.testing.assert_array_equal(row, m.masked_idx)
         with pytest.raises(ContractError):
-            MaskSet(np.array([[0, 1], [0, 2]]), np.array([[2], [2]]), np.zeros((2, 3)))
+            MaskSet(np.array([[0, 1], [0, 2]]), np.array([[2], [2]]))
 
     def test_batch_and_seed_counts_must_agree(self):
         cfg = tiny_config()

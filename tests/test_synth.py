@@ -100,3 +100,30 @@ class TestGenCorpus:
     def test_bad_duration_rejected(self):
         with pytest.raises(ContractError):
             SynthSpec("tone", n_classes=3, min_seconds=0.2)
+
+
+class TestReadLabels:
+    HEADER = "filename,split,label\n"
+
+    def _labels(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        return path
+
+    def test_reads_rows_and_ignores_extra_columns(self, tmp_path):
+        path = self._labels(tmp_path, "filename,split,label,note\na.wav,train,1;2,x\n")
+        assert read_labels(path) == [("a.wav", "train", "1;2")]
+
+    @pytest.mark.parametrize("text, where, field", [
+        ("", "line 1", "filename,split,label"),
+        ("name,split,label\n", "line 1", "filename,split,label"),
+        (HEADER + "a.wav,train,0\nb.wav,valid\n", "line 3", "'label'"),
+        (HEADER + "a.wav,train,0\n\n", "line 3", "'filename'"),
+        (HEADER + "a.wav,tset,0\n", "line 2", "'split'"),
+    ], ids=["empty", "header", "short-row", "blank-row", "unknown-split"])
+    def test_malformed_file_names_file_line_and_field(self, tmp_path, text, where, field):
+        path = self._labels(tmp_path, text)
+        with pytest.raises(ContractError) as exc:
+            read_labels(path)
+        msg = str(exc.value)
+        assert msg.startswith(f"{path}: {where}: ") and field in msg
