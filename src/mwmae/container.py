@@ -46,22 +46,27 @@ def atomic_file(path: str | Path):
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write arrays as float32, atomically. Values are downcast from float64."""
+    """Write arrays as float32, atomically. Values are downcast from float64;
+    one that is not finite as float32, which `load_tensors` would reject,
+    raises ContractError naming the file and tensor before any write."""
     if not tensors:
         raise ContractError("save_tensors: empty tensor dict")
-    names = sorted(tensors)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        arrays = {name: np.ascontiguousarray(tensors[name], dtype=_DTYPE)
+                  for name in sorted(tensors)}
     header: dict[str, dict] = {}
     offset = 0
-    for name in names:
-        shape = np.atleast_1d(tensors[name]).shape
-        header[name] = {"shape": list(shape), "dtype": "f32", "byte_offset": offset}
-        offset += math.prod(shape) * _DTYPE.itemsize
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: tensor {name!r} is not finite as float32")
+        header[name] = {"shape": list(arr.shape), "dtype": "f32", "byte_offset": offset}
+        offset += arr.nbytes
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_file(path) as fh:
         fh.write(struct.pack(_LEN_FMT, len(head)))
         fh.write(head)
-        for name in names:
-            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPE).tobytes())
+        for arr in arrays.values():
+            fh.write(arr.tobytes())
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

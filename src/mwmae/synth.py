@@ -161,10 +161,12 @@ def read_labels(path: str | Path) -> list[tuple[str, str, str]]:
     """Rows of (filename, split, label); multilabel cells use ';' separators.
 
     The header must be filename,split,label; every row needs those three
-    fields and a split of train, valid or test. Anything else raises
-    ContractError naming the file, the line and the field.
+    fields and a split of train, valid or test, and no filename may appear
+    twice. Anything else raises ContractError naming the file, the line and
+    the field.
     """
     rows = []
+    first_line = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -180,5 +182,9 @@ def read_labels(path: str | Path) -> list[tuple[str, str, str]]:
                 raise ContractError(
                     f"{where}: field 'split' must be one of {', '.join(_SPLITS)}, got {r[1]!r}"
                 )
+            if r[0] in first_line:
+                raise ContractError(f"{where}: field 'filename' {r[0]!r} is already listed "
+                                    f"on line {first_line[r[0]]}")
+            first_line[r[0]] = reader.line_num
             rows.append((r[0], r[1], r[2]))
     return rows

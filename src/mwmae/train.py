@@ -334,22 +334,6 @@ def _shard_bounds(batch: int, cfg: MaeConfig) -> list[tuple[int, int]]:
     return [(0, half), (half, batch)]
 
 
-def _shard_loss(specs, seeds, cfg: MaeConfig, params: MaeParams, share: float) -> float:
-    """Forward and, if the loss is finite, backward of one shard.
-
-    The loss is weighted by the shard's share of the batch, so the shards'
-    leaf gradients sum to the whole batch's mean-loss gradient. Returns
-    the weighted loss.
-    """
-    loss = mae_forward(specs, cfg, params, seed=seeds).loss
-    if share != 1.0:
-        loss = scale(loss, share)
-    value = loss.item()
-    if math.isfinite(value):
-        loss.backward()
-    return value
-
-
 def _mask_seed(train_seed: int, step: int, position: int) -> int:
     return int(np.random.SeedSequence([train_seed, step, position]).generate_state(1)[0])
 
@@ -376,13 +360,17 @@ def train(
     `dataset` needs __len__ and spec(index, epoch) -> T x F array (a plain
     list-like of arrays works via SpectrogramDataset).
 
+    The loop's position is the global `step`; each epoch starts with one
+    permutation drawn from a generator seeded with `train_cfg.seed`.
+
     A large enough minibatch is split into two fixed shards (see
     `_shard_bounds`), each with its own graph against its own replica of
-    the parameter leaves, on two pool threads. Their gradients are summed
-    in shard order before the one AdamW step, so the numbers do not depend
-    on which thread or core runs a shard. The loop runs with BLAS on one
-    thread (`one_blas_thread`), so they do not depend on the caller's BLAS
-    thread count either.
+    the parameter leaves, run by `two_thread_map`. Their gradients are
+    summed in shard order before the one AdamW step, so the numbers do not
+    depend on which thread or core runs a shard. The loop runs with BLAS on
+    one thread (`one_blas_thread`), so they do not depend on the caller's
+    BLAS thread count either. The loss CSV is written on every exit, with
+    the rows of the steps that finished.
     """
     if max_steps is not None and max_steps < 1:
         raise ContractError(f"max_steps must be >= 1 or None, got {max_steps}")
@@ -396,6 +384,7 @@ def train(
     total_steps = train_cfg.total_epochs * steps_per_epoch
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
+    ckpt_every = train_cfg.ckpt_every_epochs * steps_per_epoch  # in steps; 0 = never
 
     _keep_freed_memory()
     if params is None:
@@ -415,30 +404,19 @@ def train(
     lrs = np.zeros(total_steps)
     csv_rows = ["step,epoch,lr,loss"]
 
-    step = 0
-    done = False
+    def checkpoint(steps_done: int) -> None:
+        try:
+            save_checkpoint(out_ckpt, mae_cfg, params)
+        except ContractError as e:  # a weight beyond float32; the old file stays
+            raise TrainingDivergedError(f"weights left float32 range by step {steps_done} "
+                                        f"({e}); last checkpoint retained") from None
 
-    def checkpoint() -> None:
-        # The container stores float32, and its loader rejects non-finite
-        # values, so a weight beyond float32 range must not replace the last
-        # good checkpoint.
-        with np.errstate(over="ignore"):
-            for name, t in named.items():
-                if not np.isfinite(t.data.astype(np.float32)).all():
-                    _flush_csv(loss_csv, csv_rows)
-                    raise TrainingDivergedError(
-                        f"parameter {name!r} left float32 range by step {step}; "
-                        "last checkpoint retained"
-                    )
-        save_checkpoint(out_ckpt, mae_cfg, params)
-
-    # The pool starts its threads on first use, so a one-shard run, which
-    # keeps its graph on the calling thread, has none.
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-        run_shards = pool.map if len(shards) > 1 else map
-        for epoch in range(train_cfg.total_epochs):
-            order = order_rng.permutation(n)
-            for b in range(steps_per_epoch):
+    try:
+        with one_blas_thread():
+            for step in range(total_steps):
+                epoch, b = divmod(step, steps_per_epoch)
+                if b == 0:
+                    order = order_rng.permutation(n)
                 idx = order[b * batch:(b + 1) * batch]
                 for buf in grad_bufs:
                     buf.fill(0.0)
@@ -446,13 +424,23 @@ def train(
                 seeds = [_mask_seed(train_cfg.seed, step, j) for j in range(len(idx))]
 
                 def shard(k: int) -> float:
+                    # Forward and, if the loss is finite, backward. The loss is
+                    # weighted by the shard's share of the batch, so the shards'
+                    # leaf gradients sum to the whole batch's mean-loss gradient.
                     lo, hi = shards[k]
-                    return _shard_loss(specs[lo:hi], seeds[lo:hi], mae_cfg,
-                                       shard_params[k], (hi - lo) / len(idx))
+                    loss = mae_forward(specs[lo:hi], mae_cfg, shard_params[k],
+                                       seed=seeds[lo:hi]).loss
+                    if len(shards) > 1:
+                        loss = scale(loss, (hi - lo) / len(idx))
+                    value = loss.item()
+                    if math.isfinite(value):
+                        loss.backward()
+                    return value
 
-                mean_loss = sum(run_shards(shard, range(len(shards))))
+                # One shard keeps its graph on this thread and starts no pool.
+                mean_loss = sum(two_thread_map(shard, range(len(shards)))
+                                if len(shards) > 1 else [shard(0)])
                 if not math.isfinite(mean_loss):
-                    _flush_csv(loss_csv, csv_rows)
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step}; last checkpoint retained"
                     )
@@ -467,19 +455,14 @@ def train(
                 if log_every and step % log_every == 0:
                     print(f"step {step:6d} epoch {epoch:4d} lr {lr:.3e} "
                           f"loss {mean_loss:.6f}", file=sys.stderr)
-                step += 1
-                if step >= total_steps:
-                    done = True
-                    break
-            if out_ckpt is not None and train_cfg.ckpt_every_epochs:
-                if (epoch + 1) % train_cfg.ckpt_every_epochs == 0:
-                    checkpoint()
-            if done:
-                break
-
-    if out_ckpt is not None:
-        checkpoint()
-    _flush_csv(loss_csv, csv_rows)
+                # An epoch-end checkpoint, unless the final one follows.
+                if (out_ckpt is not None and ckpt_every and (step + 1) % ckpt_every == 0
+                        and step + 1 < total_steps):
+                    checkpoint(step + 1)
+        if out_ckpt is not None:
+            checkpoint(total_steps)
+    finally:
+        _flush_csv(loss_csv, csv_rows)
     return TrainResult(params=params, losses=losses, lrs=lrs)
 
 

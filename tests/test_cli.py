@@ -404,6 +404,21 @@ class TestMalformedInputs:
             "train, valid, test, got 'tset'")
         assert not out.exists()
 
+    def test_filename_listed_twice_in_labels_is_named(self, pipeline, tmp_path, capsys):
+        _, wav_dir, _, _, emb = pipeline
+        lines = (wav_dir / "labels.csv").read_text().splitlines()
+        name, split, label = lines[3].split(",")
+        other = "train" if split == "test" else "test"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(lines + [f"{name},{other},{label}x"]) + "\n")
+        out = tmp_path / "probe.json"
+        assert main(["probe", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(out)]) == 1
+        assert self._one_error_line(capsys) == (
+            f"error: ContractError: {labels}: line {len(lines) + 1}: field 'filename' "
+            f"{name!r} is already listed on line 4")
+        assert not out.exists()
+
 
 class TestAtomicOutputs:
     def test_failed_analysis_keeps_previous_csv(self, pipeline, tmp_path, monkeypatch):

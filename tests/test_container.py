@@ -2,10 +2,14 @@
 
 import errno
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwmae import container
 from mwmae.container import atomic_file, load_tensors, save_tensors
@@ -96,6 +100,19 @@ class TestAtomicWrites:
         np.testing.assert_array_equal(load_tensors(path)["a"], np.arange(3.0))
         assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+    def test_value_not_finite_as_float32_keeps_old_file(self, tmp_path, bad):
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"a": np.arange(3.0)})
+        old = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e39 overflows the cast without a warning
+            with pytest.raises(ContractError,
+                               match=re.escape(f"{path}: tensor 'b' is not finite as float32")):
+                save_tensors(path, {"a": np.ones(3), "b": np.array([0.0, bad])})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
     def test_interrupted_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"old")
@@ -112,8 +129,7 @@ class TestAtomicWrites:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, cfg, params)
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        # The last tensor in name order fails to convert, after the others
-        # are written.
+        # The last tensor in name order fails to convert.
         params.named()["mask_token"].data = np.array(["x"] * cfg.dec_width)
         with pytest.raises(ValueError):
             save_checkpoint(path, tiny_config(seed=1), params)
@@ -160,7 +176,10 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values(self, tmp_path, bad):
         path = tmp_path / "t.bin"
-        save_tensors(path, {"ok": np.zeros(2), "w": np.array([1.0, bad])})
+        self._with_header(path, {
+            "ok": {"shape": [2], "dtype": "f32", "byte_offset": 0},
+            "w": {"shape": [2], "dtype": "f32", "byte_offset": 8},
+        }, np.array([0.0, 0.0, 1.0, bad], dtype="<f4").tobytes())
         with pytest.raises(ContractError, match="'w'.*non-finite"):
             load_tensors(path)
 
@@ -184,3 +203,55 @@ class TestMalformedFiles:
         self._with_header(path, {"a": meta}, np.zeros(2, dtype="<f4").tobytes())
         with pytest.raises(ContractError, match="'a'"):
             load_tensors(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A saved tiny checkpoint: its path, container bytes and sidecar bytes."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, tiny_config(), MaeParams.init(tiny_config()))
+    sidecar = path.with_suffix(".ckpt.json")
+    return path, path.read_bytes(), sidecar.read_bytes()
+
+
+class TestTruncatedCheckpoint:
+    """A checkpoint cut short never loads as something else."""
+
+    def _container_cut_raises(self, tiny_checkpoint, cut):
+        path, raw, _ = tiny_checkpoint
+        try:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ContractError):
+                load_checkpoint(path)
+        finally:
+            path.write_bytes(raw)
+
+    def test_container_cut_at_each_boundary_raises(self, tiny_checkpoint):
+        _, raw, _ = tiny_checkpoint
+        (head_len,) = struct.unpack("<Q", raw[:8])
+        for cut in (0, 1, 7, 8, 9, 8 + head_len - 1, 8 + head_len, 8 + head_len + 1,
+                    len(raw) - 4, len(raw) - 1):
+            self._container_cut_raises(tiny_checkpoint, cut)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_container_prefix_raises(self, tiny_checkpoint, data):
+        cut = data.draw(st.integers(0, len(tiny_checkpoint[1]) - 1), label="cut")
+        self._container_cut_raises(tiny_checkpoint, cut)
+
+    def test_every_sidecar_prefix_raises_or_loads_the_same_config(self, tiny_checkpoint):
+        path, _, raw = tiny_checkpoint
+        sidecar = path.with_suffix(".ckpt.json")
+        loaded = []
+        try:
+            for cut in range(len(raw)):
+                sidecar.write_bytes(raw[:cut])
+                try:
+                    cfg, _ = load_checkpoint(path)
+                except ContractError:
+                    continue
+                assert cfg == tiny_config(), cut
+                loaded.append(cut)
+        finally:
+            sidecar.write_bytes(raw)
+        assert loaded == [len(raw) - 1]  # only the trailing newline can go

@@ -120,7 +120,9 @@ class TestReadLabels:
         (HEADER + "a.wav,train,0\nb.wav,valid\n", "line 3", "'label'"),
         (HEADER + "a.wav,train,0\n\n", "line 3", "'filename'"),
         (HEADER + "a.wav,tset,0\n", "line 2", "'split'"),
-    ], ids=["empty", "header", "short-row", "blank-row", "unknown-split"])
+        (HEADER + "a.wav,train,0\nb.wav,test,1\na.wav,test,1\n", "line 4",
+         "'filename' 'a.wav' is already listed on line 2"),
+    ], ids=["empty", "header", "short-row", "blank-row", "unknown-split", "repeated-filename"])
     def test_malformed_file_names_file_line_and_field(self, tmp_path, text, where, field):
         path = self._labels(tmp_path, text)
         with pytest.raises(ContractError) as exc:

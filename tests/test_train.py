@@ -3,6 +3,7 @@
 import ctypes
 import importlib
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -356,13 +357,33 @@ class TestTrainLoop:
                               ckpt_every_epochs=1)
         # the AdamW update overflows float64 on the way to the float32 check
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(TrainingDivergedError, match="float32 range"):
-                train(toy_spectrograms(8, seed=4), tiny_config(), tc, out_ckpt=ckpt)
+            with pytest.raises(TrainingDivergedError, match="float32 range") as exc:
+                train(toy_spectrograms(8, seed=4), tiny_config(), tc, out_ckpt=ckpt,
+                      loss_csv=tmp_path / "loss.csv")
         load_checkpoint(ckpt)  # an earlier epoch's checkpoint, still finite
+        found = re.search(r"by step (\d+) .*tensor '[\w.]+'.*last checkpoint retained",
+                          str(exc.value))
+        assert found, str(exc.value)
+        assert _csv_steps(tmp_path / "loss.csv") == list(range(int(found.group(1))))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             train([], tiny_config(), toy_train_config())
+
+    def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch):
+        written = []
+        real = train_module.save_checkpoint
+
+        def save(path, cfg, params):
+            written.append(path)
+            real(path, cfg, params)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", save)
+        # 5 steps per epoch; the cut at step 13 falls inside the third epoch
+        train(toy_spectrograms(40, seed=5), tiny_config(),
+              toy_train_config(total_epochs=6, ckpt_every_epochs=1), max_steps=13,
+              out_ckpt=tmp_path / "m.bin")
+        assert len(written) == 3  # after steps 5 and 10, then the final one
 
     def test_checkpoint_written(self, tmp_path):
         specs = toy_spectrograms(8, seed=5)
@@ -371,6 +392,49 @@ class TestTrainLoop:
               out_ckpt=ckpt)
         cfg, params = load_checkpoint(ckpt)
         assert cfg.n_p == 16
+
+
+def _csv_steps(path) -> list[int]:
+    """The step column of a loss CSV, after checking its header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,epoch,lr,loss"
+    return [int(line.split(",")[0]) for line in lines[1:]]
+
+
+class TestLossCsvOnEveryExit:
+    """A run that stops on divergence keeps the loss CSV rows of the steps
+    that finished (`TestTrainLoop` checks the float32 exit)."""
+
+    def test_non_finite_gradient(self, tmp_path, monkeypatch):
+        real = train_module.adamw_step
+
+        def adamw(params, grads, state, lr, cfg, no_decay):
+            if state.step == 2:
+                grads["embed.w"].flat[0] = np.nan  # a view of the summed gradients
+            real(params, grads, state, lr, cfg, no_decay=no_decay)
+
+        monkeypatch.setattr(train_module, "adamw_step", adamw)
+        path = tmp_path / "loss.csv"
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient for 'embed.w'"):
+            train(toy_spectrograms(16, seed=9), tiny_config(), toy_train_config(),
+                  loss_csv=path, max_steps=5)
+        assert _csv_steps(path) == [0, 1]
+
+    def test_non_finite_loss(self, tmp_path, monkeypatch):
+        tc = toy_train_config()
+        real = train_module.mae_forward
+        poisoned = _mask_seed(tc.seed, 2, 0)
+
+        def forward(spec, cfg, params, seed):
+            if seed[0] == poisoned:
+                spec = np.full_like(spec, np.nan)
+            return real(spec, cfg, params, seed=seed)
+
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        path = tmp_path / "loss.csv"
+        with pytest.raises(TrainingDivergedError, match="non-finite loss at step 2"):
+            train(toy_spectrograms(16, seed=9), tiny_config(), tc, loss_csv=path, max_steps=5)
+        assert _csv_steps(path) == [0, 1]
 
 
 class TestLossCsvWrite:
@@ -545,6 +609,22 @@ class TestShardedStep:
         train(specs, tiny_config(), toy_train_config(), max_steps=3)
         assert forward_calls == [[_mask_seed(1, step, j) for j in range(8)]
                                  for step in range(3)]
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_only_a_sharded_step_uses_the_pool_helper(self, monkeypatch, sharded):
+        calls = []
+        real = train_module.two_thread_map
+
+        def spy(fn, items):
+            calls.append(list(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(train_module, "two_thread_map", spy)
+        if sharded:
+            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(), max_steps=2)
+        else:
+            train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(), max_steps=2)
+        assert calls == ([[0, 1]] * 2 if sharded else [])
 
     def test_non_finite_shard_loss_changes_nothing(self, monkeypatch):
         tc = pipeline_train_config()
