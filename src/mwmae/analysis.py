@@ -22,13 +22,13 @@ from .model import (
     tap_decoder,
     tap_encoder,
 )
+from .runtime import thread_pair
 from .tensor import no_grad
-from .train import two_thread_map
 
 # Singular values at or below this fraction of the largest count as rank-deficient.
 RANK_RTOL = 1e-10
 
-# `collect_stack` and `pwcca_matrix` run on two threads (`two_thread_map`)
+# `collect_stack` and `pwcca_matrix` run on two threads (`thread_pair`)
 # when the tapped stack is at least this wide (d_m, the sum of its heads'
 # widths). Narrower stacks run on the calling thread: their numpy calls are
 # small, the Python around them holds the GIL, and a second thread only
@@ -43,11 +43,12 @@ POOL_MIN_WIDTH = 160
 
 
 def _map(fn, items, width: int) -> list:
-    """`[fn(x) for x in items]`, on two threads for a stack of `width` at
-    least `POOL_MIN_WIDTH`, else on the calling thread."""
+    """`[fn(x) for x in items]`, on a `thread_pair()` for a stack of `width`
+    at least `POOL_MIN_WIDTH`, else on the calling thread."""
     if width < POOL_MIN_WIDTH:
         return list(map(fn, items))
-    return two_thread_map(fn, items)
+    with thread_pair() as run:
+        return run(fn, items)
 
 
 @dataclass
@@ -326,6 +327,9 @@ def window_correlation_summary(
     global_heads = [h for h, w in enumerate(windows) if w == n_tokens]
     if not local_heads or not global_heads:
         raise ContractError("need both local and global heads for the comparison")
+    if records.n_layers < 2:
+        raise ContractError(f"need at least two layers for the cross-layer "
+                            f"comparison, got {records.n_layers}")
     matrix, _ = pwcca_matrix(records)
 
     def sym(a, b):

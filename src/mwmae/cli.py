@@ -26,8 +26,9 @@ from .container import atomic_file, load_tensors, save_tensors
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
 from .model import MaeConfig, check_config_field, load_checkpoint
+from .runtime import thread_pair
 from .synth import default_spec, gen_corpus, read_labels, KINDS
-from .train import TrainConfig, WavSpecDataset, train, two_thread_map
+from .train import TrainConfig, WavSpecDataset, train
 
 _MAE_DEFAULTS = {f.name: f.default for f in fields(MaeConfig)}
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
@@ -118,7 +119,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    """Embed the clips on two threads (`two_thread_map`); the frozen
+    """Embed the clips on two threads (`thread_pair`); the frozen
     parameters are only read. Results and the first error come in path
     order, as from a serial loop."""
     cfg, params = load_checkpoint(args.ckpt)
@@ -127,7 +128,8 @@ def _cmd_extract(args) -> int:
     def embed(p: Path) -> np.ndarray:
         return scene_embedding(load_wav(p), cfg, params)
 
-    vectors = two_thread_map(embed, paths)
+    with thread_pair() as run:
+        vectors = run(embed, paths)
     out = {str(p.relative_to(args.wav_dir)): v for p, v in zip(paths, vectors)}
     save_tensors(args.out, out)
     _log(f"wrote {len(out)} embeddings to {args.out}")

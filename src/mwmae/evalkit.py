@@ -210,6 +210,9 @@ class TaskScoreTable:
             raise ContractError("scores must be finite (no missing cells)")
         if not self.higher_is_better:
             self.higher_is_better = [True] * len(self.tasks)
+        if len(self.higher_is_better) != len(self.tasks):
+            raise ContractError(f"{len(self.higher_is_better)} higher_is_better flags "
+                                f"for {len(self.tasks)} tasks")
 
 
 def overall_score(table: TaskScoreTable, model: str) -> float:
@@ -220,6 +223,8 @@ def overall_score(table: TaskScoreTable, model: str) -> float:
     """
     if not table.models or not table.tasks:
         raise ContractError("empty score table")
+    if model not in table.models:
+        raise ContractError(f"unknown model {model!r}; the table has {table.models}")
     mi = table.models.index(model)
     parts = []
     for ti in range(len(table.tasks)):

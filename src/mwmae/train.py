@@ -8,12 +8,8 @@ layer-norm parameters and the mask token.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +18,7 @@ import numpy as np
 from .container import atomic_file
 from .errors import ContractError, TrainingDivergedError
 from .model import MaeConfig, MaeParams, mae_forward, save_checkpoint
+from .runtime import thread_pair
 from .tensor import Tensor, scale
 
 
@@ -226,93 +223,6 @@ class WavSpecDataset:
         return self._crop(self.full_specs[index], self.input_t, crop_seed)
 
 
-# glibc's mallopt parameter numbers (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-
-
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Keep freed step temporaries in this process's heap (glibc only).
-
-    By default glibc serves large arrays from their own mmap and trims the
-    heap top on free, so every step returns its MB-sized score arrays to
-    the kernel and faults them in again. Arrays up to 32 MiB now come from
-    the heap, and the heap keeps up to 64 MiB of free space at its top.
-    Every thread allocates from that one heap (one arena): a shard thread
-    with its own arena would keep its freed memory there while later work
-    grows the main heap. This changes no arithmetic. It holds for the
-    whole process and is set once; where there is no glibc `mallopt` it
-    does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_ARENA_MAX, 1)
-
-
-@functools.cache
-def _blas_thread_hooks():
-    """numpy's OpenBLAS (get, set) thread-count functions, or None.
-
-    The scipy-openblas build that numpy wheels bundle exports them; the
-    numpy extension module links that library, so a lookup through it
-    finds them without naming the library's file.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with BLAS on one thread, then restore the old count.
-
-    Inside a two-thread pool each thread's matmuls then stay on its own
-    core instead of starting BLAS threads that compete for both, and the
-    numbers do not depend on the library's thread count. The count is
-    process-wide, so blocks on different threads must not overlap. Where
-    numpy's OpenBLAS hooks are missing it does nothing.
-    """
-    hooks = _blas_thread_hooks()
-    if hooks is None:
-        yield
-        return
-    get, set_ = hooks
-    saved = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(saved)
-
-
-def two_thread_map(fn, items) -> list:
-    """`[fn(x) for x in items]`, run on a two-thread pool with BLAS pinned
-    to one thread (`one_blas_thread`) and every thread on one malloc arena
-    (`_keep_freed_memory`).
-
-    Results and the first exception come in `items` order, as from the
-    loop; a raise cancels the tasks not yet started, and the pool's
-    threads are joined before this returns. `fn` runs on the pool's
-    threads, so per-thread state such as `no_grad` must be entered inside
-    it.
-    """
-    _keep_freed_memory()
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(fn, items))
-
-
 # A step is split into two shards when one shard's attention scores, shard
 # size x n_p x the sum of the decoder windows, reach this many elements.
 # Below it the graphs are small and their Python-side work holds the GIL,
@@ -365,12 +275,12 @@ def train(
 
     A large enough minibatch is split into two fixed shards (see
     `_shard_bounds`), each with its own graph against its own replica of
-    the parameter leaves, run by `two_thread_map`. Their gradients are
-    summed in shard order before the one AdamW step, so the numbers do not
-    depend on which thread or core runs a shard. The loop runs with BLAS on
-    one thread (`one_blas_thread`), so they do not depend on the caller's
-    BLAS thread count either. The loss CSV is written on every exit, with
-    the rows of the steps that finished.
+    the parameter leaves, run on the one `thread_pair()` the call enters.
+    Their gradients are summed in shard order before the one AdamW step, so
+    the numbers do not depend on which thread or core runs a shard. Inside
+    it BLAS runs on one thread, so they do not depend on the caller's BLAS
+    thread count either. The loss CSV is written on every exit, with the
+    rows of the steps that finished.
     """
     if max_steps is not None and max_steps < 1:
         raise ContractError(f"max_steps must be >= 1 or None, got {max_steps}")
@@ -386,33 +296,32 @@ def train(
         total_steps = min(total_steps, max_steps)
     ckpt_every = train_cfg.ckpt_every_epochs * steps_per_epoch  # in steps; 0 = never
 
-    _keep_freed_memory()
-    if params is None:
-        params = MaeParams.init(mae_cfg)
-    named = params.named()
-    no_decay = params.no_decay_names()
-    shards = _shard_bounds(batch, mae_cfg)
-    state = OptimizerState.init(named)
-    # Replicas made after `init` share its views of `state.params`; each
-    # shard's graph backpropagates into its own gradient buffer.
-    shard_params = [params] + [params.replica() for _ in shards[1:]]
-    grad_bufs = [state.bind_grads(p.named()) for p in shard_params]
-    grads = {k: t.grad for k, t in named.items()}
-    order_rng = np.random.default_rng(train_cfg.seed)
+    with thread_pair() as run:
+        if params is None:
+            params = MaeParams.init(mae_cfg)
+        named = params.named()
+        no_decay = params.no_decay_names()
+        shards = _shard_bounds(batch, mae_cfg)
+        state = OptimizerState.init(named)
+        # Replicas made after `init` share its views of `state.params`; each
+        # shard's graph backpropagates into its own gradient buffer.
+        shard_params = [params] + [params.replica() for _ in shards[1:]]
+        grad_bufs = [state.bind_grads(p.named()) for p in shard_params]
+        grads = {k: t.grad for k, t in named.items()}
+        order_rng = np.random.default_rng(train_cfg.seed)
 
-    losses = np.zeros(total_steps)
-    lrs = np.zeros(total_steps)
-    csv_rows = ["step,epoch,lr,loss"]
+        losses = np.zeros(total_steps)
+        lrs = np.zeros(total_steps)
+        csv_rows = ["step,epoch,lr,loss"]
 
-    def checkpoint(steps_done: int) -> None:
+        def checkpoint(steps_done: int) -> None:
+            try:
+                save_checkpoint(out_ckpt, mae_cfg, params)
+            except ContractError as e:  # a weight beyond float32; the old file stays
+                raise TrainingDivergedError(f"weights left float32 range by step {steps_done} "
+                                            f"({e}); last checkpoint retained") from None
+
         try:
-            save_checkpoint(out_ckpt, mae_cfg, params)
-        except ContractError as e:  # a weight beyond float32; the old file stays
-            raise TrainingDivergedError(f"weights left float32 range by step {steps_done} "
-                                        f"({e}); last checkpoint retained") from None
-
-    try:
-        with one_blas_thread():
             for step in range(total_steps):
                 epoch, b = divmod(step, steps_per_epoch)
                 if b == 0:
@@ -437,9 +346,7 @@ def train(
                         loss.backward()
                     return value
 
-                # One shard keeps its graph on this thread and starts no pool.
-                mean_loss = sum(two_thread_map(shard, range(len(shards)))
-                                if len(shards) > 1 else [shard(0)])
+                mean_loss = sum(run(shard, range(len(shards))))
                 if not math.isfinite(mean_loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step}; last checkpoint retained"
@@ -459,10 +366,10 @@ def train(
                 if (out_ckpt is not None and ckpt_every and (step + 1) % ckpt_every == 0
                         and step + 1 < total_steps):
                     checkpoint(step + 1)
-        if out_ckpt is not None:
-            checkpoint(total_steps)
-    finally:
-        _flush_csv(loss_csv, csv_rows)
+            if out_ckpt is not None:
+                checkpoint(total_steps)
+        finally:
+            _flush_csv(loss_csv, csv_rows)
     return TrainResult(params=params, losses=losses, lrs=lrs)
 
 

@@ -8,6 +8,7 @@ reconstruction has real structure to learn.
 
 import errno
 import importlib
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from mwmae.attention import HeadTap
 from mwmae.audio import standardize
 from mwmae.model import decode, encode, encode_all, mae_forward, patchify, random_mask
 from mwmae.tensor import no_grad
-from mwmae.train import TrainConfig, _blas_thread_hooks
+from mwmae.runtime import _blas_thread_hooks
+from mwmae.train import TrainConfig
 
 
 @pytest.fixture
@@ -31,6 +33,20 @@ def blas_threads():
     saved = get()
     yield get, set_
     set_(saved)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started during the test, in start order."""
+    started = []
+    real = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
 
 
 def tiny_config(**overrides) -> MaeConfig:

@@ -20,7 +20,7 @@ from mwmae.analysis import (
 from mwmae.attention import window_schedule
 from mwmae.errors import ContractError, DegenerateInputError
 from mwmae.model import MaeConfig, MaeParams
-from mwmae.train import _blas_thread_hooks, one_blas_thread
+from mwmae.runtime import _blas_thread_hooks, thread_pair
 
 from _toy import (blas_threads, dense_distance,  # noqa: F401 (a fixture)
                   dense_entropy, tiny_config, toy_spectrograms)
@@ -465,6 +465,16 @@ class TestWindowCorrelationSummary:
         assert window_correlation_summary(records, windows, cfg.n_p) == (
             float(np.mean(same)), float(np.mean(cross)))
 
+    def test_one_layer_has_no_pair_to_compare(self):
+        # no two layers, so no same-window pair: a mean of none would be NaN
+        from mwmae.analysis import window_correlation_summary
+
+        cfg = tiny_config(dec_depth=1)
+        records = collect_stack(cfg, MaeParams.init(cfg), toy_spectrograms(4, seed=15),
+                                stack="decoder", probs=False)
+        with pytest.raises(ContractError, match="at least two layers .*, got 1"):
+            window_correlation_summary(records, cfg.dec_schedule.windows, cfg.n_p)
+
 
 class TestAttentionRecordsFromModel:
     def test_window_head_entropy_bounded_by_window(self):
@@ -564,7 +574,7 @@ class TestThreadedAnalysis:
         # every clip on a worker, with grad mode off there and one BLAS thread
         assert seen == [(False, False, 1)] * len(specs)
         _serial(monkeypatch)
-        with one_blas_thread():
+        with thread_pair():
             serial = collect_stack(cfg, params, specs, stack="decoder", probs=probs)
         assert [caller for caller, _, _ in seen[len(specs):]] == [True] * len(specs)
         for ex_a, ex_b in zip(pooled.taps, serial.taps, strict=True):
@@ -579,12 +589,12 @@ class TestThreadedAnalysis:
         records = collect_stack(cfg, params, specs, stack="decoder", probs=False)
         seen = []
         _spy(monkeypatch, analysis, "pwcca", seen)
-        with one_blas_thread():  # the whitening runs on the calling thread
+        with thread_pair():  # the whitening runs on the calling thread
             pooled, labels = pwcca_matrix(records)
         h = cfg.dec_depth * cfg.dec_heads
         assert [(caller, blas) for caller, _, blas in seen] == [(False, 1)] * h * h
         _serial(monkeypatch)
-        with one_blas_thread():
+        with thread_pair():
             serial, serial_labels = pwcca_matrix(records)
         assert labels == serial_labels
         assert pooled.shape == (h, h) and pooled.tobytes() == serial.tobytes()

@@ -19,7 +19,7 @@ from mwmae.container import load_tensors, save_tensors
 from mwmae.evalkit import scene_embedding
 from mwmae.errors import ContractError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
-from mwmae.train import _blas_thread_hooks
+from mwmae.runtime import _blas_thread_hooks
 
 from _toy import (FailsMidway, blas_threads,  # noqa: F401 (a fixture)
                   dense_distance, dense_entropy, full_stack_taps)

@@ -290,6 +290,18 @@ class TestOverallScore:
         assert overall_score(t, "A") == 100.0
         assert overall_score(t, "B") == 0.0
 
+    @pytest.mark.parametrize("n_tasks, flags", [(2, [False]), (1, [True, False, True])])
+    def test_one_flag_per_task(self, n_tasks, flags):
+        tasks = [f"t{i}" for i in range(n_tasks)]
+        with pytest.raises(ContractError, match=f"{len(flags)} higher_is_better flags "
+                                                f"for {n_tasks} tasks"):
+            TaskScoreTable(models=["A", "B"], tasks=tasks,
+                           scores=np.ones((2, n_tasks)), higher_is_better=flags)
+
+    def test_unknown_model_is_named(self):
+        with pytest.raises(ContractError, match="unknown model 'zzz'"):
+            overall_score(self._table(), "zzz")
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ContractError):
             TaskScoreTable(models=["A"], tasks=["t"], scores=np.array([[np.nan]]))

@@ -1,15 +1,15 @@
-"""Every thread pool in the package comes from `train.two_thread_map`.
+"""Every thread pool in the package comes from `runtime.thread_pair`.
 
-That helper pins BLAS to one thread, puts the threads on one malloc arena
-and joins them before it returns, so a new pool should call it instead of
-constructing a `ThreadPoolExecutor` of its own.
+That context manager pins BLAS to one thread, puts the threads on one
+malloc arena and joins them when its block exits, so new parallel code
+should enter it instead of constructing a `ThreadPoolExecutor` of its own.
 """
 
 import ast
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "mwmae"
-_ALLOWED = {("train.py", "two_thread_map")}
+_ALLOWED = {("runtime.py", "thread_pair")}
 
 
 def _pool_constructions(tree: ast.Module) -> list[tuple[str, int]]:
@@ -41,12 +41,12 @@ def test_thread_pools_come_from_the_helper():
              for path in sorted(_SRC.glob("*.py"))
              for func, line in _pool_constructions(ast.parse(path.read_text()))
              if (path.name, func) not in _ALLOWED]
-    assert found == [], f"construct pools through train.two_thread_map: {found}"
+    assert found == [], f"construct pools through runtime.thread_pair: {found}"
 
 
 def test_the_helper_is_where_the_pool_is_made():
-    tree = ast.parse((_SRC / "train.py").read_text())
-    assert [func for func, _ in _pool_constructions(tree)] == ["two_thread_map"]
+    tree = ast.parse((_SRC / "runtime.py").read_text())
+    assert [func for func, _ in _pool_constructions(tree)] == ["thread_pair"]
 
 
 def test_the_check_finds_a_pool_under_any_name():

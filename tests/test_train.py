@@ -11,16 +11,16 @@ import threading
 import numpy as np
 import pytest
 
-from mwmae import container
+from mwmae import container, runtime
 from mwmae import tensor as T
 from mwmae.errors import ContractError, TrainingDivergedError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, mae_forward
+from mwmae.runtime import _keep_freed_memory
 from mwmae.tensor import Tensor
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
     _flush_csv,
-    _keep_freed_memory,
     _mask_seed,
     _shard_bounds,
     adamw_step,
@@ -29,8 +29,8 @@ from mwmae.train import (
     train,
 )
 
-from _toy import (FailsMidway, blas_threads, tiny_config,  # noqa: F401 (a fixture)
-                  toy_spectrograms, toy_train_config)
+from _toy import (FailsMidway, blas_threads, thread_starts,  # noqa: F401 (fixtures)
+                  tiny_config, toy_spectrograms, toy_train_config)
 
 
 class TestEffectiveLr:
@@ -468,7 +468,7 @@ from mwmae.model import MaeConfig
 from mwmae.train import TrainConfig
 tm = importlib.import_module("mwmae.train")
 if sys.argv[2] == "stub":
-    tm._keep_freed_memory = lambda: None
+    importlib.import_module("mwmae.runtime")._keep_freed_memory = lambda: None
 rng = np.random.default_rng(0)
 specs = [rng.normal(size=(200, 80)) for _ in range(8)]
 cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
@@ -611,20 +611,15 @@ class TestShardedStep:
                                  for step in range(3)]
 
     @pytest.mark.parametrize("sharded", [False, True])
-    def test_only_a_sharded_step_uses_the_pool_helper(self, monkeypatch, sharded):
-        calls = []
-        real = train_module.two_thread_map
-
-        def spy(fn, items):
-            calls.append(list(items))
-            return real(fn, items)
-
-        monkeypatch.setattr(train_module, "two_thread_map", spy)
+    def test_one_thread_pair_per_call(self, thread_starts, sharded):
+        # Three steps over two epochs; a pool per step would start six threads.
+        threads = threading.active_count()
         if sharded:
-            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(), max_steps=2)
+            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(), max_steps=3)
         else:
-            train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(), max_steps=2)
-        assert calls == ([[0, 1]] * 2 if sharded else [])
+            train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(), max_steps=3)
+        assert len(thread_starts) == (2 if sharded else 0)
+        assert threading.active_count() == threads
 
     def test_non_finite_shard_loss_changes_nothing(self, monkeypatch):
         tc = pipeline_train_config()
@@ -656,7 +651,7 @@ class TestShardedStep:
         for k, t in params.named().items():
             assert np.array_equal(t.data, after_first["params"][k]), k
 
-    def test_error_inside_shard_reaches_caller(self, monkeypatch):
+    def test_error_inside_shard_reaches_caller(self, monkeypatch, thread_starts):
         class ShardFailure(Exception):
             pass
 
@@ -672,6 +667,7 @@ class TestShardedStep:
         with pytest.raises(ShardFailure, match="shard 1"):
             train(pipeline_specs(), pipeline_config(), pipeline_train_config())
         assert threading.active_count() == threads  # the pool died with the call
+        assert len(thread_starts) == 2
 
 
 class TestStepSeam:
@@ -755,9 +751,9 @@ class TestOneBlasThread:
             return object()
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        hooks = train_module._blas_thread_hooks.__wrapped__()
+        hooks = runtime._blas_thread_hooks.__wrapped__()
         assert hooks is None
-        monkeypatch.setattr(train_module, "_blas_thread_hooks", lambda: hooks)
+        monkeypatch.setattr(runtime, "_blas_thread_hooks", lambda: hooks)
         result = train(toy_spectrograms(8, seed=6), tiny_config(), toy_train_config(),
                        max_steps=1)
         assert np.isfinite(result.losses).all()
