@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,63 +22,36 @@ from .analysis import (PatchGrid, attention_entropy, collect_stack, head_table,
                        mean_attention_distance, pwcca_matrix)
 from .audio import crop_or_pad, load_wav, wav_paths
 from .audio import logmel  # noqa: F401 - perfbench's tracer wraps `cli.logmel`
-from .container import atomic_file, load_tensors, save_tensors
+from .container import load_tensors, read_json_object, save_tensors, write_text
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
-from .model import MaeConfig, check_config_field, load_checkpoint
+from .model import MaeConfig, check_field, load_checkpoint
 from .runtime import thread_pair
 from .synth import default_spec, gen_corpus, read_labels, KINDS
 from .train import TrainConfig, WavSpecDataset, train
 
-_MAE_DEFAULTS = {f.name: f.default for f in fields(MaeConfig)}
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
-# Int fields where 0 is meaningful; every other int field must be >= 1.
-_ZERO_OK = {"seed", "warmup_epochs", "ckpt_every_epochs"}
-# Float fields that must be >= 0.
-_RATES = {"base_lr", "weight_decay", "min_lr"}
-
-
 def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | None]:
     """Flat JSON union of model and training fields; one shared seed.
 
-    Every value is type-checked before any config is built, with the rules
-    of a checkpoint's sidecar (`model.check_config_field`); `betas` is two
-    numbers in [0, 1), `base_lr`, `weight_decay` and `min_lr` are >= 0, and
-    `max_steps` is an int >= 1 or null. A bad value raises ContractError
-    naming the field.
+    Every key must be a field of MaeConfig or TrainConfig, or `max_steps`
+    (an int >= 1, or null for no cap). The configs check their own values;
+    every ContractError starts with the file's path.
     """
+    raw = read_json_object(path, "config")
+    mae_names = {f.name for f in fields(MaeConfig)}
+    train_names = {f.name for f in fields(TrainConfig)}
     try:
-        raw = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"{path}: config is not JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise ContractError("config must be a JSON object")
-    # A default's type sets the rule for the field's value.
-    defaults = {**_MAE_DEFAULTS, **_TRAIN_DEFAULTS, "max_steps": 1}
-    unknown = sorted(set(raw) - set(defaults))
-    if unknown:
-        raise ContractError(f"unknown config keys: {unknown}")
-    for name, value in raw.items():
-        if name == "betas":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ContractError(f"{path}: field 'betas' must be two numbers, got {value!r}")
-            for b in value:
-                check_config_field(path, name, b, 0.0)
-                if not 0.0 <= b < 1.0:  # beta = 1 zeroes AdamW's bias correction
-                    raise ContractError(
-                        f"{path}: field 'betas' must be two numbers in [0, 1), got {value!r}")
-        elif not (name == "max_steps" and value is None):  # null: no step cap
-            check_config_field(path, name, value, defaults[name],
-                               low=0 if name in _ZERO_OK else 1)
-            if name in _RATES and value < 0:
-                raise ContractError(f"{path}: field {name!r} must be >= 0, got {value}")
-    mae_kwargs = {k: raw[k] for k in raw if k in _MAE_DEFAULTS}
-    train_kwargs = {k: raw[k] for k in raw if k in _TRAIN_DEFAULTS}
-    if "betas" in train_kwargs:
-        train_kwargs["betas"] = tuple(train_kwargs["betas"])
-    mae_cfg = MaeConfig(**mae_kwargs)
-    train_cfg = TrainConfig(**train_kwargs)
-    return mae_cfg, train_cfg, raw.get("max_steps")
+        unknown = sorted(set(raw) - mae_names - train_names - {"max_steps"})
+        if unknown:
+            raise ContractError(f"unknown config keys: {unknown}")
+        max_steps = raw.get("max_steps")
+        if max_steps is not None:
+            check_field("max_steps", max_steps, 1, 1)
+        return (MaeConfig(**{k: v for k, v in raw.items() if k in mae_names}),
+                TrainConfig(**{k: v for k, v in raw.items() if k in train_names}),
+                max_steps)
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None
 
 
 def _log(msg: str) -> None:
@@ -94,6 +67,13 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: an int >= 0, as numpy's seeding needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}")
+    return int(text)
+
+
 def _cmd_synth(args) -> int:
     spec = default_spec(args.kind)
     seed = _resolve_seed(args)
@@ -105,8 +85,8 @@ def _cmd_synth(args) -> int:
 def _cmd_pretrain(args) -> int:
     mae_cfg, train_cfg, max_steps = load_run_config(args.config)
     if args.global_seed is not None:
-        mae_cfg.seed = args.global_seed
-        train_cfg.seed = args.global_seed
+        mae_cfg = replace(mae_cfg, seed=args.global_seed)
+        train_cfg = replace(train_cfg, seed=args.global_seed)
     dataset = WavSpecDataset(args.data, mae_cfg.input_t, seed=train_cfg.seed)
     _log(f"pretraining on {len(dataset)} clips")
     result = train(
@@ -163,7 +143,7 @@ def _cmd_probe(args) -> int:
         "best_epoch": result.best_epoch,
         "epochs_ran": result.epochs_ran,
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    write_text(args.out, json.dumps(payload, indent=2) + "\n")
     _log(f"{result.metric_name}: test {result.test_metric:.4f}")
     return 0
 
@@ -186,15 +166,9 @@ def _cmd_analyze(args) -> int:
         rows += [[layer, head, repr(value)] for layer, head, value in table]
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    _write_text(args.out, text.getvalue())
+    write_text(args.out, text.getvalue())
     _log(f"wrote {args.metric} ({stack}) to {args.out}")
     return 0
-
-
-def _write_text(path, text: str) -> None:
-    """Replace `path` whole, or on any error leave it as it was."""
-    with atomic_file(path) as fh:
-        fh.write(text.encode("utf-8"))
 
 
 def _read_metrics(path: Path) -> dict:
@@ -202,16 +176,14 @@ def _read_metrics(path: Path) -> dict:
     numbers, with an optional string `model` and an optional list
     `lower_is_better` of names from `tasks`. Anything else raises
     ContractError naming the file and the field."""
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"{path}: metric file is not JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise ContractError(f"{path}: metric file must be a JSON object")
+    doc = read_json_object(path, "metric file")
     if not isinstance(doc.get("tasks"), dict):
         raise ContractError(f"{path}: field 'tasks' must be an object of task scores")
     for task, value in doc["tasks"].items():
-        check_config_field(path, f"tasks.{task}", value, 0.0)
+        try:
+            check_field(f"tasks.{task}", value, 0.0)  # any finite number
+        except ContractError as e:
+            raise ContractError(f"{path}: {e}") from None
     if not isinstance(doc.get("model", ""), str):
         raise ContractError(f"{path}: field 'model' must be a string, got {doc['model']!r}")
     lower = doc.get("lower_is_better", [])
@@ -246,7 +218,7 @@ def _cmd_score(args) -> int:
         higher_is_better=[t not in lower for t in tasks],
     )
     payload = {"scores": {m: overall_score(table, m) for m in per_model}}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log(f"scored {len(per_model)} models over {len(tasks)} tasks")
     return 0
 
@@ -263,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-window masked autoencoder: pretraining, analysis, evaluation.",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, dest="global_seed",
+        "--seed", type=_seed, default=None, dest="global_seed",
         help="global seed override",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labelled WAV corpus")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

@@ -6,6 +6,8 @@ little-endian float32 values. Offsets are relative to the payload start.
 Entries are written in sorted name order so identical inputs produce
 byte-identical files. Files are written to a temporary name and renamed
 into place, so a failed or killed write leaves the previous file intact.
+The JSON and text files of the CLI go through `read_json_object` and
+`write_text`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,27 @@ def atomic_file(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace `path` with UTF-8 `text` whole, or on any error leave it as it was."""
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in `path`. A missing file, one that is not UTF-8
+    JSON, or a value that is not an object raises ContractError naming the
+    file and `what` it should hold."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ContractError(f"{path}: {what} is missing") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"{path}: {what} is not JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:

@@ -24,7 +24,7 @@ from .attention import (
     mw_mha,
     window_schedule,
 )
-from .container import atomic_file, load_tensors, save_tensors
+from .container import load_tensors, read_json_object, save_tensors, write_text
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, glorot
 
@@ -48,6 +48,10 @@ class MaeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each field first: >= 1 but for these four (mask_ratio is below).
+        for f in fields(self):
+            low = 0 if f.name in ("seed", "enc_depth", "dec_depth", "mask_ratio") else 1
+            check_field(f.name, getattr(self, f.name), f.default, low)
         if self.input_t % self.patch_t != 0:
             raise ContractError(
                 f"patch_t={self.patch_t} does not divide input_t={self.input_t}"
@@ -60,6 +64,9 @@ class MaeConfig:
             raise ContractError(
                 f"mask_ratio must be in (0, 1), got {self.mask_ratio}"
             )
+        for name in ("enc_width", "dec_width"):  # the sin/cos table pairs columns
+            if getattr(self, name) % 2:
+                raise ContractError(f"field {name!r} must be even, got {getattr(self, name)}")
         if self.enc_width % self.enc_heads != 0:
             raise ContractError(
                 f"enc_heads={self.enc_heads} does not divide enc_width={self.enc_width}"
@@ -502,59 +509,44 @@ def mae_forward(
 
 
 def save_checkpoint(path: str | Path, cfg: MaeConfig, params: MaeParams) -> None:
-    """Container with every named tensor plus a JSON config sidecar."""
+    """Container with every named tensor plus a JSON config sidecar. The
+    sidecar is rendered first, so a config that cannot be written leaves
+    both files of a previous checkpoint as they were."""
     path = Path(path)
-    save_tensors(path, {k: v.data for k, v in params.named().items()})
     sidecar = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
-    with atomic_file(path.with_suffix(path.suffix + ".json")) as fh:
-        fh.write(sidecar.encode("utf-8"))
+    save_tensors(path, {k: v.data for k, v in params.named().items()})
+    write_text(path.with_suffix(path.suffix + ".json"), sidecar)
 
 
-def check_config_field(source, name: str, value, default, low: int = 1) -> None:
-    """Reject a JSON config value that does not fit its field's default.
+def check_field(name: str, value, default, low=None) -> None:
+    """Reject a config value that does not fit its field's default.
 
-    A float field takes an int or a finite float, an int field only an int
-    of at least `low`; a bool is never a number. The ContractError names the
-    source and the field.
+    A float field takes an int or a finite float, an int field only an int;
+    a bool is never a number, and no value may be below `low`. The
+    ContractError names the field; a reader puts its file in front.
     """
     kinds = (int, float) if isinstance(default, float) else int
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ContractError(
-            f"{source}: field {name!r} must be {type(default).__name__}, got {value!r}"
-        )
+        raise ContractError(f"field {name!r} must be {type(default).__name__}, got {value!r}")
     if isinstance(value, float) and not np.isfinite(value):
-        raise ContractError(f"{source}: field {name!r} must be finite, got {value!r}")
-    if isinstance(default, int) and value < low:
-        raise ContractError(f"{source}: field {name!r} must be >= {low}, got {value}")
+        raise ContractError(f"field {name!r} must be finite, got {value!r}")
+    if low is not None and value < low:
+        raise ContractError(f"field {name!r} must be >= {low}, got {value}")
 
 
 def _load_config(sidecar: Path) -> MaeConfig:
-    """Read a checkpoint's JSON sidecar into a MaeConfig.
-
-    The sidecar must be a JSON object with exactly MaeConfig's fields: ints
-    (>= 1, or >= 0 for seed) and a number for mask_ratio. Anything else
-    raises ContractError naming the sidecar and the field.
-    """
-    try:
-        raw = json.loads(sidecar.read_text())
-    except FileNotFoundError:
-        raise ContractError(f"{sidecar}: config sidecar is missing") from None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"{sidecar}: config sidecar is not JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise ContractError(
-            f"{sidecar}: config sidecar must be a JSON object, got {type(raw).__name__}"
-        )
-    defaults = {f.name: f.default for f in fields(MaeConfig)}
-    unknown = sorted(set(raw) - set(defaults))
-    missing = [name for name in defaults if name not in raw]
+    """Read a checkpoint's JSON sidecar into a MaeConfig: a JSON object with
+    exactly MaeConfig's fields, each passing MaeConfig's own checks.
+    Anything else raises ContractError naming the sidecar and the field."""
+    raw = read_json_object(sidecar, "config sidecar")
+    names = [f.name for f in fields(MaeConfig)]
+    unknown = sorted(set(raw) - set(names))
+    missing = [name for name in names if name not in raw]
     if unknown or missing:
         raise ContractError(
             f"{sidecar}: config sidecar has unknown fields {unknown}, "
             f"missing fields {missing}"
         )
-    for name, default in defaults.items():
-        check_config_field(sidecar, name, raw[name], default, low=0 if name == "seed" else 1)
     try:
         return MaeConfig(**raw)
     except ContractError as e:

@@ -9,6 +9,7 @@ derived from the corpus seed, so a corpus is reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,28 +164,31 @@ def read_labels(path: str | Path) -> list[tuple[str, str, str]]:
     The header must be filename,split,label; every row needs those three
     fields and a split of train, valid or test, and no filename may appear
     twice. Anything else raises ContractError naming the file, the line and
-    the field.
+    the field; a file that is not UTF-8 raises one naming the file.
     """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path}: labels CSV is not UTF-8 ({e})") from None
     rows = []
     first_line = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != list(_FIELDS):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or header[:3] != list(_FIELDS):
+        raise ContractError(
+            f"{path}: line 1: labels CSV must start with filename,split,label, got {header}"
+        )
+    for r in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(r) < 3:
+            raise ContractError(f"{where}: field {_FIELDS[len(r)]!r} is missing")
+        if r[1] not in _SPLITS:
             raise ContractError(
-                f"{path}: line 1: labels CSV must start with filename,split,label, got {header}"
+                f"{where}: field 'split' must be one of {', '.join(_SPLITS)}, got {r[1]!r}"
             )
-        for r in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(r) < 3:
-                raise ContractError(f"{where}: field {_FIELDS[len(r)]!r} is missing")
-            if r[1] not in _SPLITS:
-                raise ContractError(
-                    f"{where}: field 'split' must be one of {', '.join(_SPLITS)}, got {r[1]!r}"
-                )
-            if r[0] in first_line:
-                raise ContractError(f"{where}: field 'filename' {r[0]!r} is already listed "
-                                    f"on line {first_line[r[0]]}")
-            first_line[r[0]] = reader.line_num
-            rows.append((r[0], r[1], r[2]))
+        if r[0] in first_line:
+            raise ContractError(f"{where}: field 'filename' {r[0]!r} is already listed "
+                                f"on line {first_line[r[0]]}")
+        first_line[r[0]] = reader.line_num
+        rows.append((r[0], r[1], r[2]))
     return rows

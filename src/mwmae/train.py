@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .container import atomic_file
+from .container import write_text
 from .errors import ContractError, TrainingDivergedError
-from .model import MaeConfig, MaeParams, mae_forward, save_checkpoint
+from .model import MaeConfig, MaeParams, check_field, mae_forward, save_checkpoint
 from .runtime import thread_pair
 from .tensor import Tensor, scale
 
@@ -35,8 +35,21 @@ class TrainConfig:
     ckpt_every_epochs: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        """Each field is a finite number of its default's type, >= 1 for
+        `batch_size` and `total_epochs` and >= 0 otherwise; each beta lies
+        in [0, 1), since a beta of 1 zeroes AdamW's bias correction."""
+        for f in fields(self):
+            if f.name != "betas":
+                low = 1 if f.name in ("batch_size", "total_epochs") else 0
+                check_field(f.name, getattr(self, f.name), f.default, low)
+        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2):
+            raise ContractError(f"field 'betas' must be two numbers, got {self.betas!r}")
+        for b in self.betas:
+            check_field("betas", b, 0.0, 0)
+            if b >= 1.0:
+                raise ContractError(
+                    f"field 'betas' must be two numbers in [0, 1), got {self.betas!r}")
+        self.betas = tuple(self.betas)
         if not self.warmup_epochs < self.total_epochs:
             raise ContractError(
                 f"warmup_epochs={self.warmup_epochs} must be < "
@@ -369,11 +382,6 @@ def train(
             if out_ckpt is not None:
                 checkpoint(total_steps)
         finally:
-            _flush_csv(loss_csv, csv_rows)
+            if loss_csv is not None:
+                write_text(loss_csv, "\n".join(csv_rows) + "\n")
     return TrainResult(params=params, losses=losses, lrs=lrs)
-
-
-def _flush_csv(loss_csv, rows) -> None:
-    if loss_csv is not None:
-        with atomic_file(loss_csv) as fh:
-            fh.write(("\n".join(rows) + "\n").encode())

@@ -114,11 +114,34 @@ class TestRunConfig:
         assert len(err) == 1 and err[0].startswith("error: ContractError: ")
         assert f"field '{field}'" in err[0]
 
+    @pytest.mark.parametrize("text, match", [
+        ("[1, 2]", "config must be a JSON object, got list"),
+        ('{"patch_q": 4}', "unknown config keys: \\['patch_q'\\]"),
+        ('{"patch_t": 3}', "patch_t=3 does not divide input_t=200"),
+        ('{"patch_f": 3}', "patch_f=3 does not divide input_f=80"),
+        ('{"enc_heads": 5}', "enc_heads=5 does not divide enc_width=768"),
+        ('{"dec_width": 100}', "decoder width 100 not divisible"),
+        ('{"warmup_epochs": 100}', "warmup_epochs=100 must be < total_epochs=100"),
+        ('{"mask_ratio": 1.0}', "mask_ratio must be in \\(0, 1\\)"),
+    ])
+    def test_every_error_starts_with_the_path(self, tmp_path, capsys, text, match):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ContractError, match=match) as info:
+            load_run_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert main(["pretrain", "--config", str(path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "m.bin"),
+                     "--loss-csv", str(tmp_path / "l.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ContractError: {path}: ")
+
     def test_range_edges_accepted(self, tmp_path):
         path = _write_config(tmp_path, betas=[0, 0.999999], base_lr=0, weight_decay=0.0,
-                             min_lr=0.0)
-        _, train_cfg, _ = load_run_config(path)
+                             min_lr=0.0, enc_depth=0, dec_depth=0)
+        mae_cfg, train_cfg, _ = load_run_config(path)
         assert train_cfg.betas == (0, 0.999999) and train_cfg.base_lr == 0
+        assert (mae_cfg.enc_depth, mae_cfg.dec_depth) == (0, 0)
 
 
 class TestExitCodes:
@@ -142,6 +165,21 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "mask_ratio" in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", "synth", "--kind", "tone", "--n", "2"],
+        ["synth", "--kind", "tone", "--n", "2", "--seed", "-1"],
+        ["synth", "--kind", "tone", "--n", "2", "--seed", "x"],
+    ])
+    def test_bad_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be an int >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthCommand:
@@ -420,6 +458,18 @@ class TestMalformedInputs:
         assert not out.exists()
 
 
+    def test_labels_that_are_not_utf8_are_named(self, pipeline, tmp_path, capsys):
+        _, wav_dir, _, _, emb = pipeline
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes((wav_dir / "labels.csv").read_bytes() + b"x.wav,train,\xff\n")
+        out = tmp_path / "probe.json"
+        assert main(["probe", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(out)]) == 1
+        assert self._one_error_line(capsys).startswith(
+            f"error: ContractError: {labels}: labels CSV is not UTF-8")
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     def test_failed_analysis_keeps_previous_csv(self, pipeline, tmp_path, monkeypatch):
         _, wav_dir, ckpt, _, _ = pipeline
@@ -465,6 +515,15 @@ class TestScoreCommand:
         assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 0
         scores = json.loads(out.read_text())["scores"]
         assert scores["beta"] == 100.0 and scores["alpha"] == 0.0
+
+    def test_negative_task_values_score(self, tmp_path):
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        (metrics / "a.json").write_text(json.dumps({"tasks": {"log_lik": -3.5}}))
+        (metrics / "b.json").write_text(json.dumps({"tasks": {"log_lik": -1}}))
+        out = tmp_path / "scores.json"
+        assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["scores"] == {"a": 0.0, "b": 100.0}
 
     def test_incomplete_tables_rejected(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"

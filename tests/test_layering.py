@@ -1,7 +1,8 @@
 """Import layers inside the package.
 
 `runtime` imports nothing from the package, so every module may enter its
-pool. `analysis` does not import `train`, so the training loop may import
+pool. `container` imports only `errors`, so every module may read and write
+its files. `analysis` does not import `train`, so the training loop may import
 `analysis` to run its diagnostics between steps without an import cycle.
 """
 
@@ -41,6 +42,10 @@ def _imports_of(name: str) -> set[str]:
 
 def test_runtime_imports_nothing_from_the_package():
     assert _imports_of("runtime.py") == set()
+
+
+def test_container_imports_only_errors():
+    assert _imports_of("container.py") <= {"errors"}
 
 
 def test_analysis_does_not_import_train():

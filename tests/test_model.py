@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mwmae import tensor as T
 from mwmae.analysis import collect_stack
@@ -406,6 +408,18 @@ class TestMaeConfig:
         with pytest.raises(ContractError, match="patch_t"):
             MaeConfig(input_t=200, input_f=80, patch_t=3, patch_f=16)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("patch_t", 0, "field 'patch_t' must be >= 1, got 0"),  # was a ZeroDivisionError
+        ("enc_heads", 0, "field 'enc_heads' must be >= 1, got 0"),
+        ("seed", -1, "field 'seed' must be >= 0, got -1"),
+        ("enc_width", 16.0, "field 'enc_width' must be int, got 16.0"),
+        ("mask_ratio", float("nan"), "field 'mask_ratio' must be finite"),
+        ("dec_width", 9, "field 'dec_width' must be even, got 9"),  # was refused by init
+    ])
+    def test_each_field_is_checked_first(self, field, value, match):
+        with pytest.raises(ContractError, match=match):
+            tiny_config(**{field: value})
+
     def test_derived_quantities(self):
         cfg = MaeConfig()
         assert cfg.n_p == 250
@@ -454,6 +468,19 @@ class TestCheckpoint:
         cfg2, params2 = load_checkpoint(tmp_path / "m.bin")
         after = mae_forward(spec, cfg2, params2, seed=0).loss.item()
         assert abs(before - after) < 1e-4
+
+    def test_unwritable_config_leaves_the_previous_pair(self, tmp_path):
+        path = tmp_path / "m.bin"
+        sidecar = tmp_path / "m.bin.json"
+        save_checkpoint(path, tiny_config(), MaeParams.init(tiny_config()))
+        before = path.read_bytes(), sidecar.read_bytes()
+        wide = tiny_config(enc_width=32)
+        wide.seed = np.int64(5)  # set after construction; json cannot write it
+        with pytest.raises(TypeError):
+            save_checkpoint(path, wide, MaeParams.init(wide))
+        assert (path.read_bytes(), sidecar.read_bytes()) == before
+        assert load_checkpoint(path)[0] == tiny_config()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
 
     def test_tampered_checkpoint_rejected(self, tmp_path):
         from mwmae.container import load_tensors, save_tensors
@@ -532,3 +559,35 @@ class TestCheckpointSidecar:
 
     def test_missing_sidecar(self, ckpt):
         self._rejects(ckpt, None, "sidecar is missing")
+
+
+@st.composite
+def _small_configs(draw):
+    """Small MaeConfig keyword sets, near enough to valid that most pass."""
+    patch_t, patch_f = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    enc_heads = draw(st.integers(1, 3))
+    return dict(
+        input_t=patch_t * draw(st.integers(1, 4)), input_f=patch_f * draw(st.integers(1, 4)),
+        patch_t=patch_t, patch_f=patch_f,
+        enc_depth=draw(st.integers(0, 2)), enc_heads=enc_heads,
+        enc_width=enc_heads * draw(st.integers(1, 3)),
+        dec_depth=draw(st.integers(0, 2)), dec_width=draw(st.sampled_from([4, 6, 8, 12, 24])),
+        mask_ratio=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(_small_configs())
+@settings(max_examples=40, deadline=None)
+def test_every_accepted_config_saves_and_loads_back(tmp_path_factory, kwargs):
+    try:
+        cfg = MaeConfig(**kwargs)
+    except ContractError:
+        assume(False)
+    params = MaeParams.init(cfg)
+    path = tmp_path_factory.mktemp("ckpt") / "m.bin"
+    save_checkpoint(path, cfg, params)
+    cfg2, params2 = load_checkpoint(path)
+    assert cfg2 == cfg
+    for name, t in params.named().items():
+        np.testing.assert_array_equal(params2.named()[name].data, t.data.astype(np.float32))

@@ -20,7 +20,6 @@ from mwmae.tensor import Tensor
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
-    _flush_csv,
     _mask_seed,
     _shard_bounds,
     adamw_step,
@@ -84,6 +83,24 @@ class TestLrSchedule:
     def test_warmup_must_be_shorter_than_total(self):
         with pytest.raises(ContractError):
             TrainConfig(warmup_epochs=100, total_epochs=100)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, match", [
+        ("base_lr", float("nan"), "field 'base_lr' must be finite, got nan"),
+        ("betas", (1.0, 2.0), "field 'betas' must be two numbers in \\[0, 1\\)"),
+        ("betas", (0.9,), "field 'betas' must be two numbers, got"),
+        ("weight_decay", -0.05, "field 'weight_decay' must be >= 0"),
+        ("batch_size", 0, "field 'batch_size' must be >= 1, got 0"),
+        ("seed", -1, "field 'seed' must be >= 0, got -1"),
+        ("total_epochs", True, "field 'total_epochs' must be int, got True"),
+    ])
+    def test_each_field_is_checked(self, field, value, match):
+        with pytest.raises(ContractError, match=match):
+            TrainConfig(**{field: value})
+
+    def test_betas_are_stored_as_a_tuple(self):
+        assert TrainConfig(betas=[0, 0.5]).betas == (0, 0.5)
 
 
 class TestAdamW:
@@ -440,12 +457,12 @@ class TestLossCsvOnEveryExit:
 class TestLossCsvWrite:
     def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
         path = tmp_path / "loss.csv"
-        _flush_csv(path, ["step,epoch,lr,loss", "0,0,0.0,1.5"])
+        container.write_text(path, "step,epoch,lr,loss\n0,0,0.0,1.5\n")
         old = path.read_bytes()
         monkeypatch.setattr(container, "open", lambda p, mode: FailsMidway(open(p, mode)),
                             raising=False)
         with pytest.raises(OSError):
-            _flush_csv(path, ["step,epoch,lr,loss", "0,0,0.0,1.5", "1,0,0.1,1.25"])
+            container.write_text(path, "step,epoch,lr,loss\n0,0,0.0,1.5\n1,0,0.1,1.25\n")
         monkeypatch.undo()
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]
