@@ -22,7 +22,7 @@ from .analysis import (PatchGrid, attention_entropy, collect_stack, head_table,
                        mean_attention_distance, pwcca_matrix)
 from .audio import crop_or_pad, load_wav, wav_paths
 from .audio import logmel  # noqa: F401 - perfbench's tracer wraps `cli.logmel`
-from .container import load_tensors, read_json_object, save_tensors, write_text
+from .container import load_tensors, naming, read_json_object, save_tensors, write_text
 from .errors import ContractError
 from .evalkit import TaskScoreTable, overall_score, scene_embedding, train_probe
 from .model import MaeConfig, check_field, load_checkpoint
@@ -37,21 +37,16 @@ def load_run_config(path: str | Path) -> tuple[MaeConfig, TrainConfig, int | Non
     (an int >= 1, or null for no cap). The configs check their own values;
     every ContractError starts with the file's path.
     """
-    raw = read_json_object(path, "config")
     mae_names = {f.name for f in fields(MaeConfig)}
     train_names = {f.name for f in fields(TrainConfig)}
-    try:
-        unknown = sorted(set(raw) - mae_names - train_names - {"max_steps"})
-        if unknown:
-            raise ContractError(f"unknown config keys: {unknown}")
+    raw = read_json_object(path, "config", keys=mae_names | train_names | {"max_steps"})
+    with naming(path):
         max_steps = raw.get("max_steps")
         if max_steps is not None:
             check_field("max_steps", max_steps, 1, 1)
         return (MaeConfig(**{k: v for k, v in raw.items() if k in mae_names}),
                 TrainConfig(**{k: v for k, v in raw.items() if k in train_names}),
                 max_steps)
-    except ContractError as e:
-        raise ContractError(f"{path}: {e}") from None
 
 
 def _log(msg: str) -> None:
@@ -122,7 +117,7 @@ def _cmd_probe(args) -> int:
     feats, labels, splits = [], [], []
     for name, split, label in rows:
         if name not in embeddings:
-            raise ContractError(f"no embedding for {name!r}")
+            raise ContractError(f"{args.embeddings}: no embedding for {name!r}")
         feats.append(embeddings[name])
         labels.append(label)
         splits.append(split)
@@ -174,24 +169,23 @@ def _cmd_analyze(args) -> int:
 def _read_metrics(path: Path) -> dict:
     """A metric file: a JSON object whose `tasks` maps task names to finite
     numbers, with an optional string `model` and an optional list
-    `lower_is_better` of names from `tasks`. Anything else raises
-    ContractError naming the file and the field."""
-    doc = read_json_object(path, "metric file")
-    if not isinstance(doc.get("tasks"), dict):
-        raise ContractError(f"{path}: field 'tasks' must be an object of task scores")
-    for task, value in doc["tasks"].items():
-        try:
+    `lower_is_better` of names from `tasks`, and no other key. Anything
+    else raises ContractError naming the file and the field."""
+    doc = read_json_object(path, "metric file", keys=("tasks", "model", "lower_is_better"),
+                           required=("tasks",))
+    with naming(path):
+        if not isinstance(doc["tasks"], dict):
+            raise ContractError("field 'tasks' must be an object of task scores")
+        for task, value in doc["tasks"].items():
             check_field(f"tasks.{task}", value, 0.0)  # any finite number
-        except ContractError as e:
-            raise ContractError(f"{path}: {e}") from None
-    if not isinstance(doc.get("model", ""), str):
-        raise ContractError(f"{path}: field 'model' must be a string, got {doc['model']!r}")
-    lower = doc.get("lower_is_better", [])
-    if not isinstance(lower, list) or not all(isinstance(t, str) for t in lower):
-        raise ContractError(f"{path}: field 'lower_is_better' must be a list of task names")
-    for task in lower:
-        if task not in doc["tasks"]:
-            raise ContractError(f"{path}: field 'lower_is_better': {task!r} is not in 'tasks'")
+        if not isinstance(doc.get("model", ""), str):
+            raise ContractError(f"field 'model' must be a string, got {doc['model']!r}")
+        lower = doc.get("lower_is_better", [])
+        if not isinstance(lower, list) or not all(isinstance(t, str) for t in lower):
+            raise ContractError("field 'lower_is_better' must be a list of task names")
+        for task in lower:
+            if task not in doc["tasks"]:
+                raise ContractError(f"field 'lower_is_better': {task!r} is not in 'tasks'")
     return doc
 
 

@@ -7,7 +7,8 @@ Entries are written in sorted name order so identical inputs produce
 byte-identical files. Files are written to a temporary name and renamed
 into place, so a failed or killed write leaves the previous file intact.
 The JSON and text files of the CLI go through `read_json_object` and
-`write_text`.
+`write_text`, and `naming` puts a file's path in front of the errors of
+whatever is built from it.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object in `path`. A missing file, one that is not UTF-8
-    JSON, or a value that is not an object raises ContractError naming the
-    file and `what` it should hold."""
+def read_json_object(path: str | Path, what: str, keys, required=()) -> dict:
+    """The JSON object in `path`: a missing file, one that is not UTF-8
+    JSON, a value that is not an object, a key not in `keys` or an absent
+    `required` key raises ContractError naming the file and `what` it is."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -65,7 +66,22 @@ def read_json_object(path: str | Path, what: str) -> dict:
         raise ContractError(f"{path}: {what} is not JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ContractError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ContractError(f"{path}: {what} has unknown fields {unknown}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ContractError(f"{path}: {what} is missing fields {missing}")
     return doc
+
+
+@contextlib.contextmanager
+def naming(path: str | Path):
+    """Put `path` in front of any ContractError raised inside the block."""
+    try:
+        yield
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:

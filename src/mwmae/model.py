@@ -24,14 +24,14 @@ from .attention import (
     mw_mha,
     window_schedule,
 )
-from .container import load_tensors, read_json_object, save_tensors, write_text
+from .container import load_tensors, naming, read_json_object, save_tensors, write_text
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, glorot
 
 MLP_EXPANSION = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaeConfig:
     """Model hyperparameters. Defaults follow the reference configuration."""
 
@@ -53,17 +53,10 @@ class MaeConfig:
             low = 0 if f.name in ("seed", "enc_depth", "dec_depth", "mask_ratio") else 1
             check_field(f.name, getattr(self, f.name), f.default, low)
         if self.input_t % self.patch_t != 0:
-            raise ContractError(
-                f"patch_t={self.patch_t} does not divide input_t={self.input_t}"
-            )
+            raise ContractError(f"patch_t={self.patch_t} does not divide input_t={self.input_t}")
         if self.input_f % self.patch_f != 0:
-            raise ContractError(
-                f"patch_f={self.patch_f} does not divide input_f={self.input_f}"
-            )
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ContractError(
-                f"mask_ratio must be in (0, 1), got {self.mask_ratio}"
-            )
+            raise ContractError(f"patch_f={self.patch_f} does not divide input_f={self.input_f}")
+        masked_count(self.n_p, self.mask_ratio)
         for name in ("enc_width", "dec_width"):  # the sin/cos table pairs columns
             if getattr(self, name) % 2:
                 raise ContractError(f"field {name!r} must be even, got {getattr(self, name)}")
@@ -138,8 +131,9 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def random_mask(n_p: int, mask_ratio: float, seed: int) -> MaskSet:
-    """Seeded uniform permutation; the first n_p - n_masked entries stay visible."""
+def masked_count(n_p: int, mask_ratio: float) -> int:
+    """Patches masked of `n_p`; a ratio outside (0, 1), or one that leaves
+    no visible or no masked patch, raises ContractError."""
     if not 0.0 < mask_ratio < 1.0:
         raise ContractError(f"mask_ratio must be in (0, 1), got {mask_ratio}")
     n_masked = round_half_up(mask_ratio * n_p)
@@ -148,6 +142,12 @@ def random_mask(n_p: int, mask_ratio: float, seed: int) -> MaskSet:
             f"mask_ratio={mask_ratio} leaves {n_masked} masked of {n_p} patches; "
             "need at least one visible and one masked"
         )
+    return n_masked
+
+
+def random_mask(n_p: int, mask_ratio: float, seed: int) -> MaskSet:
+    """Seeded uniform permutation; the first n_p - n_masked entries stay visible."""
+    n_masked = masked_count(n_p, mask_ratio)
     perm = np.random.default_rng(seed).permutation(n_p)
     n_vis = n_p - n_masked
     return MaskSet(visible_idx=np.sort(perm[:n_vis]), masked_idx=np.sort(perm[n_vis:]))
@@ -538,40 +538,33 @@ def _load_config(sidecar: Path) -> MaeConfig:
     """Read a checkpoint's JSON sidecar into a MaeConfig: a JSON object with
     exactly MaeConfig's fields, each passing MaeConfig's own checks.
     Anything else raises ContractError naming the sidecar and the field."""
-    raw = read_json_object(sidecar, "config sidecar")
     names = [f.name for f in fields(MaeConfig)]
-    unknown = sorted(set(raw) - set(names))
-    missing = [name for name in names if name not in raw]
-    if unknown or missing:
-        raise ContractError(
-            f"{sidecar}: config sidecar has unknown fields {unknown}, "
-            f"missing fields {missing}"
-        )
-    try:
+    raw = read_json_object(sidecar, "config sidecar", keys=names, required=names)
+    with naming(sidecar):
         return MaeConfig(**raw)
-    except ContractError as e:
-        raise ContractError(f"{sidecar}: {e}") from None
 
 
 def load_checkpoint(path: str | Path) -> tuple[MaeConfig, MaeParams]:
     """Load and verify: the config sidecar is checked before any tensor is
-    read, then every expected tensor must be present with its shape."""
+    read, then every expected tensor must be present with its shape; each
+    error names the file at fault."""
     path = Path(path)
     cfg = _load_config(path.with_suffix(path.suffix + ".json"))
     params = MaeParams.init(cfg)
     stored = load_tensors(path)
     expected = params.named()
-    missing = sorted(set(expected) - set(stored))
-    extra = sorted(set(stored) - set(expected))
-    if missing or extra:
-        raise ContractError(
-            f"checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}"
-        )
-    for name, t in expected.items():
-        if stored[name].shape != t.data.shape:
+    with naming(path):
+        missing = sorted(set(expected) - set(stored))
+        extra = sorted(set(stored) - set(expected))
+        if missing or extra:
             raise ContractError(
-                f"checkpoint tensor {name!r}: shape {stored[name].shape} "
-                f"!= expected {t.data.shape}"
+                f"checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}"
             )
-        t.data = stored[name]
+        for name, t in expected.items():
+            if stored[name].shape != t.data.shape:
+                raise ContractError(
+                    f"checkpoint tensor {name!r}: shape {stored[name].shape} "
+                    f"!= expected {t.data.shape}"
+                )
+            t.data = stored[name]
     return cfg, params

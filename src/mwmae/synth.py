@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, save_wav
+from .container import write_text
 from .errors import ContractError
 
 KINDS = ("tone", "chirp", "noise-band", "tone-mixture")
@@ -151,10 +152,9 @@ def gen_corpus(spec: SynthSpec, n: int, seed: int, out_dir: str | Path) -> Path:
         name = f"{spec.kind.replace('-', '_')}_{i:04d}.wav"
         save_wav(out_dir / name, clip)
         rows.append((name, _SPLIT_CYCLE[rank % len(_SPLIT_CYCLE)], str(label)))
-    with open(out_dir / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
-        writer.writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows([_FIELDS, *rows])
+    write_text(out_dir / "labels.csv", text.getvalue())
     return out_dir / "labels.csv"
 
 

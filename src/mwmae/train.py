@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import write_text
+from .container import naming, write_text
 from .errors import ContractError, TrainingDivergedError
 from .model import MaeConfig, MaeParams, check_field, mae_forward, save_checkpoint
 from .runtime import thread_pair
 from .tensor import Tensor, scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     base_lr: float = 1.5e-5
     batch_size: int = 1024
@@ -49,7 +49,7 @@ class TrainConfig:
             if b >= 1.0:
                 raise ContractError(
                     f"field 'betas' must be two numbers in [0, 1), got {self.betas!r}")
-        self.betas = tuple(self.betas)
+        object.__setattr__(self, "betas", tuple(self.betas))
         if not self.warmup_epochs < self.total_epochs:
             raise ContractError(
                 f"warmup_epochs={self.warmup_epochs} must be < "
@@ -220,11 +220,8 @@ class WavSpecDataset:
         self.full_specs = []
         for p in self.paths:
             clip = load_wav(p)
-            try:
-                mel = logmel(clip)
-            except ContractError as e:  # a clip shorter than one hop
-                raise ContractError(f"{p}: {e}") from None
-            self.full_specs.append(standardize(mel))
+            with naming(p):  # a clip shorter than one hop
+                self.full_specs.append(standardize(logmel(clip)))
 
     def __len__(self):
         return len(self.paths)
@@ -295,8 +292,8 @@ def train(
     thread count either. The loss CSV is written on every exit, with the
     rows of the steps that finished.
     """
-    if max_steps is not None and max_steps < 1:
-        raise ContractError(f"max_steps must be >= 1 or None, got {max_steps}")
+    if max_steps is not None:
+        check_field("max_steps", max_steps, 1, 1)
     if not hasattr(dataset, "spec"):
         dataset = SpectrogramDataset(dataset)
     n = len(dataset)

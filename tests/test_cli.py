@@ -116,13 +116,15 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("text, match", [
         ("[1, 2]", "config must be a JSON object, got list"),
-        ('{"patch_q": 4}', "unknown config keys: \\['patch_q'\\]"),
+        ('{"patch_q": 4}', "config has unknown fields \\['patch_q'\\]"),
         ('{"patch_t": 3}', "patch_t=3 does not divide input_t=200"),
         ('{"patch_f": 3}', "patch_f=3 does not divide input_f=80"),
         ('{"enc_heads": 5}', "enc_heads=5 does not divide enc_width=768"),
         ('{"dec_width": 100}', "decoder width 100 not divisible"),
         ('{"warmup_epochs": 100}', "warmup_epochs=100 must be < total_epochs=100"),
         ('{"mask_ratio": 1.0}', "mask_ratio must be in \\(0, 1\\)"),
+        ('{"input_t": 8, "input_f": 8, "patch_t": 2, "patch_f": 2, "mask_ratio": 0.01}',
+         "mask_ratio=0.01 leaves 0 masked of 16 patches"),
     ])
     def test_every_error_starts_with_the_path(self, tmp_path, capsys, text, match):
         path = tmp_path / "config.json"
@@ -458,6 +460,18 @@ class TestMalformedInputs:
         assert not out.exists()
 
 
+    def test_label_without_an_embedding_names_the_embeddings(self, pipeline, tmp_path,
+                                                            capsys):
+        _, wav_dir, _, _, emb = pipeline
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes((wav_dir / "labels.csv").read_bytes() + b"x.wav,train,0\r\n")
+        out = tmp_path / "probe.json"
+        assert main(["probe", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(out)]) == 1
+        assert self._one_error_line(capsys) == (
+            f"error: ContractError: {emb}: no embedding for 'x.wav'")
+        assert not out.exists()
+
     def test_labels_that_are_not_utf8_are_named(self, pipeline, tmp_path, capsys):
         _, wav_dir, _, _, emb = pipeline
         labels = tmp_path / "labels.csv"
@@ -545,6 +559,9 @@ class TestScoreCommand:
         ('{"model": "b", "tasks": {"t1": NaN}}', "'tasks.t1'"),
         ('{"model": "b", "tasks": {"t1": 2.0}, "lower_is_better": "t1"}',
          "'lower_is_better'"),
+        # ignoring a misspelt key would score `t1` as higher-is-better
+        ('{"model": "b", "tasks": {"t1": 2.0}, "lower_is_beter": ["t1"]}',
+         "metric file has unknown fields ['lower_is_beter']"),
     ])
     def test_bad_metric_file_named(self, tmp_path, capsys, text, field):
         metrics = tmp_path / "metrics"
@@ -555,6 +572,7 @@ class TestScoreCommand:
         assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ContractError: {metrics / 'b.json'}: ")
+        assert len(err.strip().splitlines()) == 1
         assert field in err and not out.exists()
 
     def test_lower_is_better_must_name_a_task(self, tmp_path, capsys):

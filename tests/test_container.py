@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwmae import container
-from mwmae.container import atomic_file, load_tensors, save_tensors
+from mwmae.container import atomic_file, load_tensors, naming, read_json_object, save_tensors
 from mwmae.errors import ContractError
 from mwmae.model import MaeParams, load_checkpoint, save_checkpoint
 
@@ -62,6 +62,43 @@ def test_deterministic_bytes(tmp_path):
 def test_empty_rejected(tmp_path):
     with pytest.raises(ContractError):
         save_tensors(tmp_path / "t.bin", {})
+
+
+class TestReadJsonObject:
+    @pytest.mark.parametrize("doc, match", [
+        ({"a": 1, "c": 2, "b": 3}, "thing has unknown fields \\['b', 'c'\\]"),
+        ({}, "thing is missing fields \\['a'\\]"),
+        ({"b": 1}, "thing has unknown fields \\['b'\\]"),  # unknown is reported first
+    ])
+    def test_key_set_is_checked(self, tmp_path, doc, match):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match=match) as info:
+            read_json_object(path, "thing", keys=("a",), required=("a",))
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_keys_in_the_set_pass(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"x": [1], "y": null}')
+        assert read_json_object(path, "thing", keys=("x", "y", "z"), required=("y",)) == {
+            "x": [1], "y": None}
+
+
+class TestNaming:
+    def test_prefixes_a_contract_error(self):
+        with pytest.raises(ContractError) as info:
+            with naming("dir/f.json"):
+                raise ContractError("field 'x' must be int, got 'a'")
+        assert str(info.value) == "dir/f.json: field 'x' must be int, got 'a'"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_other_errors_and_success_pass_through(self):
+        with pytest.raises(KeyError):
+            with naming("f.json"):
+                raise KeyError("k")
+        with naming("f.json"):
+            value = 3
+        assert value == 3
 
 
 class TestAtomicWrites:

@@ -4,6 +4,8 @@
 pool. `container` imports only `errors`, so every module may read and write
 its files. `analysis` does not import `train`, so the training loop may import
 `analysis` to run its diagnostics between steps without an import cycle.
+Only `container` parses JSON, so every JSON file the package reads gets the
+same checks and the same errors.
 """
 
 import ast
@@ -40,6 +42,19 @@ def _imports_of(name: str) -> set[str]:
     return _package_imports(ast.parse((_SRC / name).read_text()))
 
 
+def _json_parses(tree: ast.Module) -> list[int]:
+    """Lines that call `json.load` or `json.loads`, or import either by name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                alias.name in ("load", "loads") for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def test_runtime_imports_nothing_from_the_package():
     assert _imports_of("runtime.py") == set()
 
@@ -67,3 +82,23 @@ def test_the_check_finds_package_imports_in_every_form():
     )
     assert _package_imports(tree) == {"model", "tensor", "audio", "mwmae", "synth",
                                       "errors", "train"}
+
+
+def test_only_container_parses_json():
+    found = {path.name: lines for path in sorted(_SRC.glob("*.py"))
+             if path.name != "container.py"
+             and (lines := _json_parses(ast.parse(path.read_text())))}
+    assert found == {}, "read JSON files with container.read_json_object"
+
+
+def test_the_check_finds_json_parses_in_every_form():
+    tree = ast.parse(
+        "import json\n"
+        "json.dumps({})\n"
+        "doc = json.loads(text)\n"
+        "from json import load\n"
+        "def late(fh):\n"
+        "    return json.load(fh)\n"
+        "parse = json.loads\n"
+    )
+    assert _json_parses(tree) == [3, 4, 6, 7]

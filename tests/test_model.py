@@ -420,6 +420,20 @@ class TestMaeConfig:
         with pytest.raises(ContractError, match=match):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("ratio, match", [
+        (0.01, "mask_ratio=0.01 leaves 0 masked of 16 patches"),
+        (0.99, "mask_ratio=0.99 leaves 16 masked of 16 patches"),
+    ])
+    def test_ratio_that_leaves_no_masked_or_no_visible_patch(self, ratio, match):
+        with pytest.raises(ContractError, match=match):  # was refused at the first step
+            tiny_config(mask_ratio=ratio)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = -1  # would skip the checks and save a sidecar that does not load
+        assert dataclasses.replace(cfg, seed=3).seed == 3
+
     def test_derived_quantities(self):
         cfg = MaeConfig()
         assert cfg.n_p == 250
@@ -475,7 +489,7 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_config(), MaeParams.init(tiny_config()))
         before = path.read_bytes(), sidecar.read_bytes()
         wide = tiny_config(enc_width=32)
-        wide.seed = np.int64(5)  # set after construction; json cannot write it
+        object.__setattr__(wide, "seed", np.int64(5))  # past the checks; json cannot write it
         with pytest.raises(TypeError):
             save_checkpoint(path, wide, MaeParams.init(wide))
         assert (path.read_bytes(), sidecar.read_bytes()) == before
@@ -494,6 +508,28 @@ class TestCheckpoint:
         save_tensors(path, tensors)
         with pytest.raises(ContractError, match="mask_token"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, match", [
+        ("drop", "checkpoint mismatch: missing \\['head.b'\\], unexpected \\[\\]"),
+        ("extra", "checkpoint mismatch: missing \\[\\], unexpected \\['head.c'\\]"),
+        ("shape", "checkpoint tensor 'head.b': shape \\(3,\\) != expected \\(4,\\)"),
+    ])
+    def test_tensor_errors_name_the_file(self, tmp_path, change, match):
+        from mwmae.container import load_tensors, save_tensors
+
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, tiny_config(), MaeParams.init(tiny_config()))
+        tensors = load_tensors(path)
+        if change == "drop":
+            del tensors["head.b"]
+        elif change == "extra":
+            tensors["head.c"] = tensors["head.b"]
+        else:
+            tensors["head.b"] = tensors["head.b"][:3]
+        save_tensors(path, tensors)
+        with pytest.raises(ContractError, match=match) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: checkpoint ")
 
 
 def _good_sidecar():
@@ -563,16 +599,21 @@ class TestCheckpointSidecar:
 
 @st.composite
 def _small_configs(draw):
-    """Small MaeConfig keyword sets, near enough to valid that most pass."""
+    """Small MaeConfig keyword sets, near enough to valid that most pass:
+    at least two patches, and a ratio that rounds to between one masked
+    and one visible patch."""
     patch_t, patch_f = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid_t, grid_f = draw(st.tuples(st.integers(1, 4), st.integers(1, 4))
+                          .filter(lambda g: g[0] * g[1] > 1))
+    n_p = grid_t * grid_f
     enc_heads = draw(st.integers(1, 3))
     return dict(
-        input_t=patch_t * draw(st.integers(1, 4)), input_f=patch_f * draw(st.integers(1, 4)),
+        input_t=patch_t * grid_t, input_f=patch_f * grid_f,
         patch_t=patch_t, patch_f=patch_f,
         enc_depth=draw(st.integers(0, 2)), enc_heads=enc_heads,
         enc_width=enc_heads * draw(st.integers(1, 3)),
         dec_depth=draw(st.integers(0, 2)), dec_width=draw(st.sampled_from([4, 6, 8, 12, 24])),
-        mask_ratio=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        mask_ratio=draw(st.floats(0.5 / n_p, (n_p - 0.5) / n_p, exclude_max=True)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 

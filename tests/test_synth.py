@@ -5,6 +5,7 @@ import collections
 import numpy as np
 import pytest
 
+from mwmae import container
 from mwmae.audio import SAMPLE_RATE, load_wav, logmel
 from mwmae.errors import ContractError
 from mwmae.synth import (
@@ -15,6 +16,8 @@ from mwmae.synth import (
     read_labels,
     render_clip,
 )
+
+from _toy import FailsMidway
 
 
 class TestRenderClip:
@@ -63,6 +66,24 @@ class TestGenCorpus:
         gen_corpus(spec, 2, seed=2, out_dir=tmp_path / "b")
         name = "tone_0000.wav"
         assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+
+    def test_labels_are_csv_rows_ending_in_crlf(self, tmp_path):
+        gen_corpus(default_spec("tone", max_seconds=1.5), 2, seed=5, out_dir=tmp_path)
+        assert (tmp_path / "labels.csv").read_bytes() == (
+            b"filename,split,label\r\ntone_0000.wav,train,0\r\ntone_0001.wav,train,1\r\n")
+
+    def test_failed_labels_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        spec = default_spec("tone", max_seconds=1.5)
+        gen_corpus(spec, 2, seed=5, out_dir=tmp_path)
+        old = (tmp_path / "labels.csv").read_bytes()
+        monkeypatch.setattr(container, "open", lambda p, mode: FailsMidway(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            gen_corpus(spec, 3, seed=5, out_dir=tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "labels.csv").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "labels.csv", "tone_0000.wav", "tone_0001.wav", "tone_0002.wav"]
 
     def test_zero_clips_rejected(self, tmp_path):
         with pytest.raises(ContractError):

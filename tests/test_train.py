@@ -1,6 +1,7 @@
 """Optimizer numerics, learning-rate schedule, and the training loop."""
 
 import ctypes
+import dataclasses
 import importlib
 import os
 import re
@@ -101,6 +102,12 @@ class TestTrainConfig:
 
     def test_betas_are_stored_as_a_tuple(self):
         assert TrainConfig(betas=[0, 0.5]).betas == (0, 0.5)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.base_lr = float("nan")
+        assert cfg.base_lr == 1.5e-5
 
 
 class TestAdamW:
@@ -340,6 +347,12 @@ class TestTrainLoop:
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_max_steps_below_one_rejected(self, max_steps):
         with pytest.raises(ContractError, match="max_steps"):
+            train(toy_spectrograms(8, seed=3), tiny_config(), toy_train_config(),
+                  max_steps=max_steps)
+
+    @pytest.mark.parametrize("max_steps", [True, 2.5])
+    def test_max_steps_must_be_an_int(self, max_steps):  # numpy's TypeError before
+        with pytest.raises(ContractError, match="field 'max_steps' must be int"):
             train(toy_spectrograms(8, seed=3), tiny_config(), toy_train_config(),
                   max_steps=max_steps)
 
