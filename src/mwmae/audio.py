@@ -33,20 +33,15 @@ class AudioClip:
     """Mono PCM samples in [-1, 1] at 16 kHz."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioFormatError(
-                f"sample_rate: expected {SAMPLE_RATE}, got {self.sample_rate}"
-            )
         if self.samples.ndim != 1 or len(self.samples) < 1:
             raise AudioFormatError("samples: expected a non-empty 1-D array")
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 def wav_paths(wav_dir: str | Path) -> list[Path]:
@@ -125,7 +120,7 @@ def mel_filterbank(
     Built once per argument set and shared by every caller, so it is
     read-only.
     """
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges_hz = _mel_edges(n_mels, fmin, fmax)
     fft_hz = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
     fb = np.zeros((n_mels, len(fft_hz)))
     for m in range(n_mels):
@@ -137,22 +132,14 @@ def mel_filterbank(
     return fb
 
 
+def _mel_edges(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
+    """The n_mels + 2 band edges (Hz), evenly spaced on the mel scale."""
+    return mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+
+
 def mel_centers(n_mels: int = N_MELS, fmin: float = FMIN, fmax: float = FMAX) -> np.ndarray:
     """Center frequencies (Hz) of the triangular filters."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    return edges_hz[1:-1]
-
-
-def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Reflect-pad both ends; unlike np.pad this allows pad >= len(x)."""
-    n = len(x)
-    if n == 1:
-        return np.full(n + 2 * pad, x[0])
-    idx = np.arange(-pad, n + pad)
-    period = 2 * (n - 1)
-    np.mod(idx, period, out=idx)
-    np.subtract(period, idx, out=idx, where=idx >= n)
-    return x[idx]
+    return _mel_edges(n_mels, fmin, fmax)[1:-1]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -172,7 +159,7 @@ def logmel(clip: AudioClip) -> np.ndarray:
             f"clip too short: {len(x)} samples, need at least one hop ({HOP_LENGTH})"
         )
     # len + 1 windows of the padded signal; every hop-th is a frame.
-    windows = sliding_window_view(_reflect_pad(x, WIN_LENGTH // 2), WIN_LENGTH)
+    windows = sliding_window_view(np.pad(x, WIN_LENGTH // 2, mode="reflect"), WIN_LENGTH)
     power = np.abs(np.fft.rfft(windows[::HOP_LENGTH] * _hann_periodic(WIN_LENGTH), axis=1))
     power **= 2
     mel = power @ mel_filterbank().T

@@ -118,7 +118,11 @@ def _cmd_probe(args) -> int:
     for name, split, label in rows:
         if name not in embeddings:
             raise ContractError(f"{args.embeddings}: no embedding for {name!r}")
-        feats.append(embeddings[name])
+        vec = embeddings[name]
+        if vec.ndim != 1 or (feats and len(vec) != len(feats[0])):
+            raise ContractError(f"{args.embeddings}: embedding for {name!r} has shape "
+                                f"{vec.shape}; each must be 1-D and as long as the first")
+        feats.append(vec)
         labels.append(label)
         splits.append(split)
     if any(";" in lab for lab in labels):

@@ -3,12 +3,13 @@
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header mapping
 each tensor name to {shape, dtype, byte_offset}, then a payload of
 little-endian float32 values. Offsets are relative to the payload start.
-Entries are written in sorted name order so identical inputs produce
+There is one layout: the tensors lie back to back in sorted name order from
+payload byte 0 to the end of the file, so identical inputs produce
 byte-identical files. Files are written to a temporary name and renamed
 into place, so a failed or killed write leaves the previous file intact.
 The JSON and text files of the CLI go through `read_json_object` and
 `write_text`, and `naming` puts a file's path in front of the errors of
-whatever is built from it.
+whatever is built from it. Every JSON reader here refuses a repeated key.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 def read_json_object(path: str | Path, what: str, keys, required=()) -> dict:
     """The JSON object in `path`: a missing file, one that is not UTF-8
-    JSON, a value that is not an object, a key not in `keys` or an absent
-    `required` key raises ContractError naming the file and `what` it is."""
+    JSON, a repeated key, a value that is not an object, a key not in `keys`
+    or an absent `required` key raises ContractError naming the file and
+    `what` it is."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _loads(Path(path).read_text(encoding="utf-8"), path, what)
     except FileNotFoundError:
         raise ContractError(f"{path}: {what} is missing") from None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -73,6 +75,20 @@ def read_json_object(path: str | Path, what: str, keys, required=()) -> dict:
     if missing:
         raise ContractError(f"{path}: {what} is missing fields {missing}")
     return doc
+
+
+def _loads(text: str, path, what: str):
+    """`json.loads`, but a key repeated in any object raises ContractError."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ContractError(f"{path}: {what} repeats key {key!r}")
+            doc[key] = value
+        return doc
+
+    return json.loads(text, object_pairs_hook=unique)
 
 
 @contextlib.contextmanager
@@ -111,9 +127,10 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a container; arrays come back as float64.
 
-    The header and every entry are checked against the file before any data
-    is used: a truncated or inconsistent file, or a non-finite value, raises
-    ContractError naming the file and, where it applies, the tensor.
+    The header entries are walked in name order, each checked against the
+    file and the end of the one before it; a truncated or inconsistent file,
+    a byte left over at the end, or a non-finite value raises ContractError
+    naming the file and, where it applies, the tensor.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 8:
@@ -124,30 +141,27 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             f"{path}: header length {head_len} exceeds the {len(raw) - 8} bytes after it"
         )
     try:
-        header = json.loads(raw[8:8 + head_len].decode("utf-8"))
+        header = _loads(raw[8:8 + head_len].decode("utf-8"), path, "header")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ContractError(f"{path}: header is not a JSON object")
-    base = 8 + head_len
-    entries = [(*_entry(path, name, meta, len(raw) - base), name)
-               for name, meta in header.items()]
-    ordered = sorted(entries)
-    for (start, size, _, prev), (nxt, _, _, name) in zip(ordered, ordered[1:]):
-        if nxt < start + size:
-            raise ContractError(f"{path}: tensor {name!r} overlaps {prev!r}")
+    base, end = 8 + head_len, 0
     out: dict[str, np.ndarray] = {}
-    for start, size, shape, name in entries:
-        arr = np.frombuffer(raw, dtype=_DTYPE, count=size // _DTYPE.itemsize,
-                            offset=base + start)
+    for name in sorted(header):
+        shape = _entry(path, name, header[name], end, len(raw) - base)
+        arr = np.frombuffer(raw, dtype=_DTYPE, count=math.prod(shape), offset=base + end)
         if not np.isfinite(arr).all():
             raise ContractError(f"{path}: tensor {name!r} has non-finite values")
         out[name] = arr.reshape(shape).astype(np.float64)
+        end += arr.nbytes
+    if base + end != len(raw):
+        raise ContractError(f"{path}: the tensors end at payload byte {end} of {len(raw) - base}")
     return out
 
 
-def _entry(path, name: str, meta, payload_len: int) -> tuple[int, int, tuple[int, ...]]:
-    """Validate one header entry; returns (byte offset, byte size, shape)."""
+def _entry(path, name: str, meta, start: int, payload_len: int) -> tuple[int, ...]:
+    """The shape of one header entry that must start at payload byte `start`."""
 
     def count(v) -> bool:
         return isinstance(v, int) and not isinstance(v, bool) and v >= 0
@@ -159,13 +173,12 @@ def _entry(path, name: str, meta, payload_len: int) -> tuple[int, int, tuple[int
     shape = meta.get("shape")
     if not isinstance(shape, list) or not all(count(d) for d in shape):
         raise ContractError(f"{path}: bad shape {shape!r} for tensor {name!r}")
-    start = meta.get("byte_offset")
-    if not count(start):
-        raise ContractError(f"{path}: bad byte_offset {start!r} for tensor {name!r}")
+    offset = meta.get("byte_offset")
+    if not count(offset) or offset != start:
+        raise ContractError(f"{path}: tensor {name!r} must start at payload byte {start}, "
+                            f"not {offset!r}")
     size = math.prod(shape) * _DTYPE.itemsize
     if start + size > payload_len:
-        raise ContractError(
-            f"{path}: tensor {name!r} needs bytes {start}..{start + size} "
-            f"but the payload has {payload_len}"
-        )
-    return start, size, tuple(shape)
+        raise ContractError(f"{path}: tensor {name!r} needs bytes {start}..{start + size} "
+                            f"but the payload has {payload_len}")
+    return tuple(shape)

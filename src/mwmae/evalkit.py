@@ -68,11 +68,9 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
-    """AP for one label column: mean precision at each positive hit."""
+    """AP for one label column with a positive: mean precision at each hit."""
     order = np.argsort(-scores, kind="stable")
     hits = positives[order].astype(np.float64)
-    if hits.sum() == 0:
-        return 0.0
     cum = np.cumsum(hits)
     precision = cum / np.arange(1, len(hits) + 1)
     return float((precision * hits).sum() / hits.sum())

@@ -73,10 +73,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -114,20 +110,14 @@ class Tensor:
                         node.grad = np.zeros_like(node.data)
                     node.grad += g
                 if node._backward is not None:
-                    node._backward_into(g, flow)
+                    for parent, pg in zip(node._parents, node._backward(g)):
+                        acc = flow.get(id(parent))
+                        # Never in place: closures may hand the same array to
+                        # several parents, or pass `g` itself through.
+                        flow[id(parent)] = pg if acc is None else acc + pg
             if node._backward is not None:
                 node._parents = ()
                 node._backward = _consumed
-
-    def _backward_into(self, g: np.ndarray, flow: dict[int, np.ndarray]) -> None:
-        grads = self._backward(g)
-        for parent, pg in zip(self._parents, grads):
-            if pg is None:
-                continue
-            acc = flow.get(id(parent))
-            # Never in place: closures may hand the same array to several
-            # parents, or pass `g` itself through.
-            flow[id(parent)] = pg if acc is None else acc + pg
 
     # -- operator sugar (delegates to the module-level ops) --
 
@@ -140,20 +130,11 @@ class Tensor:
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
 
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def sum(self, axis: int | None = None) -> "Tensor":
         return reduce_sum(self, axis)
 
     def mean(self, axis: int | None = None) -> "Tensor":
         return reduce_mean(self, axis)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        return reshape(self, shape)
 
 
 def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
@@ -520,8 +501,6 @@ def dropout(a: Tensor, p: float, seed: int) -> Tensor:
     """Train-mode dropout with an explicit seed; scales kept values by 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout: p must be in [0, 1), got {p}")
-    if p == 0.0:
-        return scale(a, 1.0)
     keep = np.random.default_rng(seed).random(a.shape) >= p
     factor = keep / (1.0 - p)
     data = a.data * factor

@@ -66,6 +66,14 @@ class TestRunConfig:
         with pytest.raises(ContractError, match="patch_q"):
             load_run_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # json.loads alone would keep the last value and train with seed 2
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "seed": 2}')
+        with pytest.raises(ContractError) as info:
+            load_run_config(path)
+        assert str(info.value) == f"{path}: config repeats key 'seed'"
+
     def test_invalid_value_names_field(self, tmp_path):
         path = _write_config(tmp_path, mask_ratio=1.0)
         with pytest.raises(ContractError, match="mask_ratio"):
@@ -304,6 +312,21 @@ class TestPipeline:
         assert csv2.read_bytes() == loss_csv.read_bytes()
         assert ckpt2.read_bytes() == ckpt.read_bytes()
 
+    def test_global_seed_overrides_both_config_seeds(self, pipeline, tmp_path):
+        _, wav_dir, _, _, _ = pipeline
+        runs = {}
+        for name, argv, seed in (("flag", ["--seed", "5"], 0), ("config", [], 5)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            config = _write_config(run_dir, seed=seed)
+            assert main(argv + ["pretrain", "--config", str(config), "--data", str(wav_dir),
+                                "--out", str(run_dir / "m.bin"),
+                                "--loss-csv", str(run_dir / "l.csv")]) == 0
+            runs[name] = run_dir
+        sidecar = json.loads((runs["flag"] / "m.bin.json").read_text())
+        assert sidecar["seed"] == 5
+        assert (runs["flag"] / "l.csv").read_bytes() == (runs["config"] / "l.csv").read_bytes()
+
     def test_pretrain_logs_to_stderr_only(self, pipeline, tmp_path, capsys):
         _, wav_dir, _, _, _ = pipeline
         config = _write_config(tmp_path)
@@ -472,6 +495,21 @@ class TestMalformedInputs:
             f"error: ContractError: {emb}: no embedding for 'x.wav'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [np.zeros(FAST_CONFIG["enc_width"] + 1), np.zeros((2, 2))])
+    def test_embedding_of_another_shape_is_named(self, pipeline, tmp_path, capsys, bad):
+        _, wav_dir, _, _, emb = pipeline
+        tensors = load_tensors(emb)
+        name = sorted(tensors)[3]
+        tensors[name] = bad
+        bad_emb = tmp_path / "embeddings.bin"
+        save_tensors(bad_emb, tensors)
+        out = tmp_path / "probe.json"
+        assert main(["probe", "--embeddings", str(bad_emb),
+                     "--labels", str(wav_dir / "labels.csv"), "--out", str(out)]) == 1
+        line = self._one_error_line(capsys)
+        assert line.startswith(f"error: ContractError: {bad_emb}: embedding for {name!r} ")
+        assert not out.exists()
+
     def test_labels_that_are_not_utf8_are_named(self, pipeline, tmp_path, capsys):
         _, wav_dir, _, _, emb = pipeline
         labels = tmp_path / "labels.csv"
@@ -574,6 +612,20 @@ class TestScoreCommand:
         assert err.startswith(f"error: ContractError: {metrics / 'b.json'}: ")
         assert len(err.strip().splitlines()) == 1
         assert field in err and not out.exists()
+
+    def test_repeated_task_in_metric_file_named(self, tmp_path, capsys):
+        # json.loads alone would keep the last value and score err = 0.1
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        a = metrics / "a.json"
+        a.write_text('{"model": "a", "tasks": {"err": 1.0, "err": 0.1}, '
+                     '"lower_is_better": ["err"]}')
+        (metrics / "b.json").write_text(json.dumps({"model": "b", "tasks": {"err": 9.0}}))
+        out = tmp_path / "s.json"
+        assert main(["score", "--metrics-dir", str(metrics), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ContractError: {a}: metric file repeats key 'err'\n"
+        assert not out.exists()
 
     def test_lower_is_better_must_name_a_task(self, tmp_path, capsys):
         # ignoring the misspelt name would score `err` as higher-is-better

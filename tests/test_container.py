@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import re
 import struct
 import warnings
@@ -82,6 +83,17 @@ class TestReadJsonObject:
         path.write_text('{"x": [1], "y": null}')
         assert read_json_object(path, "thing", keys=("x", "y", "z"), required=("y",)) == {
             "x": [1], "y": None}
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"a": {"x": [{"y": 1, "y": 1}]}}', "y"),
+    ])
+    def test_repeated_key_at_any_depth_is_refused(self, tmp_path, text, key):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(ContractError) as info:
+            read_json_object(path, "thing", keys=("a",))
+        assert str(info.value) == f"{path}: thing repeats key {key!r}"
 
 
 class TestNaming:
@@ -226,7 +238,28 @@ class TestMalformedFiles:
             "a": {"shape": [2], "dtype": "f32", "byte_offset": 0},
             "b": {"shape": [2], "dtype": "f32", "byte_offset": 4},
         }, np.zeros(3, dtype="<f4").tobytes())
-        with pytest.raises(ContractError, match="'b' overlaps 'a'"):
+        with pytest.raises(ContractError, match="'b' must start at payload byte 8"):
+            load_tensors(path)
+
+    def test_repeated_tensor_name(self, tmp_path):
+        path = tmp_path / "t.bin"
+        entry = '{"shape": [1], "dtype": "f32", "byte_offset": 0}'
+        head = f'{{"a": {entry}, "a": {entry}}}'.encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(head)) + head + bytes(4))
+        with pytest.raises(ContractError) as info:
+            load_tensors(path)
+        assert str(info.value) == f"{path}: header repeats key 'a'"
+
+    def test_byte_inserted_into_the_payload(self, tmp_path):
+        # one layout: the first tensor's bytes no longer read as other values
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"a": np.array([1.0, 2.0, 3.0, 4.0]), "b": np.full(3, 2.0)})
+        raw = path.read_bytes()
+        (head_len,) = struct.unpack("<Q", raw[:8])
+        at = 8 + head_len + 2
+        path.write_bytes(raw[:at] + b"\x00" + raw[at:])
+        with pytest.raises(ContractError, match=re.escape(
+                f"{path}: the tensors end at payload byte 28 of 29")):
             load_tensors(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -240,6 +273,46 @@ class TestMalformedFiles:
         self._with_header(path, {"a": meta}, np.zeros(2, dtype="<f4").tobytes())
         with pytest.raises(ContractError, match="'a'"):
             load_tensors(path)
+
+
+@st.composite
+def _containers(draw):
+    """2 to 4 named float32 arrays of up to 3 dims, some of them empty."""
+    names = draw(st.lists(st.text("abcxyz._", min_size=1, max_size=4),
+                          min_size=2, max_size=4, unique=True))
+    out = {}
+    for name in names:
+        shape = draw(st.lists(st.integers(0, 3), max_size=3))
+        values = st.floats(-1e6, 1e6, width=32)
+        out[name] = np.array(draw(st.lists(values, min_size=math.prod(shape),
+                                           max_size=math.prod(shape)))).reshape(shape)
+    return out
+
+
+@given(_containers(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_byte_inserted_or_deleted_is_refused_or_harmless(tmp_path_factory, tensors, data):
+    """Every single-byte insertion or deletion raises a ContractError naming
+    the file, or loads the same arrays. A changed byte inside the payload
+    still loads; a checksum is what would catch it."""
+    path = tmp_path_factory.mktemp("mut") / "t.bin"
+    save_tensors(path, tensors)
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="insert"):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        byte = data.draw(st.binary(min_size=1, max_size=1), label="byte")
+        path.write_bytes(raw[:at] + byte + raw[at:])
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        path.write_bytes(raw[:at] + raw[at + 1:])
+    try:
+        back = load_tensors(path)
+    except ContractError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    assert sorted(back) == sorted(tensors)
+    for name, arr in tensors.items():
+        assert back[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
 
 
 @pytest.fixture(scope="module")

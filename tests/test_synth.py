@@ -111,7 +111,6 @@ class TestGenCorpus:
         gen_corpus(spec, 4, seed=0, out_dir=tmp_path)
         for p in sorted(tmp_path.glob("*.wav")):
             clip = load_wav(p)
-            assert clip.sample_rate == SAMPLE_RATE
             assert len(clip.samples) >= SAMPLE_RATE
 
     def test_bad_kind_rejected(self):
