@@ -44,9 +44,10 @@ def _keep_freed_memory() -> None:
 def _blas_thread_hooks():
     """numpy's OpenBLAS (get, set) thread-count functions, or None.
 
-    The scipy-openblas build that numpy wheels bundle exports them; the
-    numpy extension module links that library, so a lookup through it
-    finds them without naming the library's file.
+    numpy's wheels bundle an OpenBLAS built by the scipy-openblas project,
+    whose symbols carry that prefix; they belong to numpy's copy, and scipy
+    plays no part. The numpy extension module links that library, so a
+    lookup through it finds them without naming the library's file.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)

@@ -68,6 +68,20 @@ def _softmax():
     assert abs(sat[0] - 1.0) < 1e-12 and abs(sat[1]) < 1e-12
 
 
+@_check("erf matches scipy's at its branch edges")
+def _erf():
+    # scipy 1.17.1's scipy.special.erf; erf is odd. Above |x| = 1 numpy's exp
+    # may round 1 ulp away from the C library's exp that scipy calls.
+    table = {0.5: 0.5204998778130465, 1.0: 0.8427007929497148,
+             1.0000000000000002: 0.842700792949715, 3.0: 0.9999779095030014,
+             8.0: 1.0, 27.0: 1.0}
+    x = np.array(list(table))
+    x = np.concatenate([x, -x])
+    want = np.copysign(np.array(list(table.values()) * 2), x)
+    ulps = np.abs(T.erf(x).view(np.int64) - want.view(np.int64))
+    assert np.all(ulps <= (np.abs(x) > 1.0)), f"ulps off: {ulps}"
+
+
 @_check("gradients agree with central differences")
 def _grads():
     rng = np.random.default_rng(3)

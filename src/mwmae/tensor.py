@@ -19,7 +19,6 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, DimensionError
 
@@ -434,10 +433,90 @@ def log_softmax_lastdim(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
+# Cephes' coefficients (ndtr.c), highest power first. A leading 1.0 is
+# cephes' p1evl, whose polynomials leave it out.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _horner(x: np.ndarray, coefs: tuple[float, ...],
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The polynomial at x by Horner's rule, rounded step by step as cephes'
+    polevl and p1evl round it."""
+    if coefs[0] == 1.0:
+        y = np.add(x, coefs[1], out=out)
+    else:
+        y = np.multiply(x, coefs[0], out=out)
+        y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+# Elements per pass of `erf`, so that its 20-odd in-place passes stay in a
+# core's L2 cache. At (250, 1536), on a Xeon with 2 MiB of L2 per core, one
+# pass took 6.0 ms and blocks of 2^16 4.1 ms. Blocks of 2^15 were as fast
+# on one thread but slower on two, where each call hands over the GIL.
+_ERF_BLOCK = 1 << 16
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a float64 array: a port of cephes' `erf`, the
+    algorithm behind `scipy.special.erf`.
+
+    |x| <= 1 takes the rational x T(x^2) / U(x^2). Above that, erf is
+    1 - erfc(|x|) with the sign of x, where erfc(a) = exp(-a^2) P(a) / Q(a).
+    Cephes switches to a second rational at a >= 8 and to erfc = 0 where a^2
+    exceeds MAXLOG; from 8 up erfc is below 1.2e-29 on every formula, so
+    1 - erfc rounds to exactly 1, and a is clipped to 8 instead. exp comes
+    from numpy, which can round 1 ulp away from the C library's: the result
+    is bit-equal to scipy's for |x| <= 1 and within 1 ulp elsewhere.
+    """
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _ERF_BLOCK):
+        _erf_into(flat[lo:lo + _ERF_BLOCK], out[lo:lo + _ERF_BLOCK])
+    return out.reshape(x.shape)
+
+
+def _erf_into(x: np.ndarray, out: np.ndarray) -> None:
+    big = (np.abs(x) > 1.0).nonzero()[0]  # nan stays in the rational
+    # The rational runs on every element, the big ones zeroed and
+    # overwritten below: gathering the small ones would cost about as much
+    # as the rational itself.
+    s = x
+    if big.size:
+        s = x.copy()
+        s[big] = 0.0
+    z = s * s
+    _horner(z, _ERF_T, out)
+    out *= s
+    out /= _horner(z, _ERF_U)
+    if big.size:
+        xb = x[big]
+        a = np.minimum(np.abs(xb), 8.0)
+        e = np.exp(-(a * a))
+        e *= _horner(a, _ERFC_P)
+        e /= _horner(a, _ERFC_Q)
+        np.subtract(1.0, e, out=e)
+        out[big] = np.copysign(e, xb, out=e)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def backward(g):

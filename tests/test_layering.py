@@ -5,10 +5,14 @@ pool. `container` imports only `errors`, so every module may read and write
 its files. `analysis` does not import `train`, so the training loop may import
 `analysis` to run its diagnostics between steps without an import cycle.
 Only `container` parses JSON, so every JSON file the package reads gets the
-same checks and the same errors.
+same checks and the same errors. Outside the standard library the package
+imports only numpy, so numpy is its one runtime dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "mwmae"
@@ -36,6 +40,19 @@ def _package_imports(tree: ast.Module) -> set[str]:
             else:  # `from . import x` or `from mwmae import x`
                 found.update(alias.name for alias in node.names)
     return found
+
+
+def _outside_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules a module imports by absolute name,
+    at any depth, that are neither the standard library's, numpy nor the
+    package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"numpy", "mwmae"}
 
 
 def _imports_of(name: str) -> set[str]:
@@ -102,3 +119,36 @@ def test_the_check_finds_json_parses_in_every_form():
         "parse = json.loads\n"
     )
     assert _json_parses(tree) == [3, 4, 6, 7]
+
+
+def test_numpy_is_the_only_import_outside_the_standard_library():
+    found = {path.name: names for path in sorted(_SRC.glob("*.py"))
+             if (names := _outside_imports(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_the_check_finds_outside_imports_in_every_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import os.path\n"
+        "from __future__ import annotations\n"
+        "from . import tensor\n"
+        "from .errors import ContractError\n"
+        "import mwmae.audio\n"
+        "from numpy.lib.stride_tricks import sliding_window_view\n"
+        "import scipy.special\n"
+        "from scipy.special import erf\n"
+        "import threadpoolctl as tp, json\n"
+        "def late():\n"
+        "    from hypothesis import given\n"
+    )
+    assert _outside_imports(tree) == {"scipy", "threadpoolctl", "hypothesis"}
+
+
+def test_the_cli_loads_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys, mwmae.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,8 @@
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,15 @@ class TestOpGradients:
     def test_gelu(self):
         assert grad_check(lambda t: T.gelu(t).sum(), _rand((3, 3), 31)) < 1e-4
 
+    def test_gelu_across_the_erf_branch_edges(self):
+        """gelu feeds erf x/sqrt(2), whose formula changes at 1 and 8: every
+        point sits within grad_check's step of x = +-sqrt(2) or +-8 sqrt(2),
+        so its central difference takes one formula on each side."""
+        offsets = np.array([-4e-6, -1e-6, 0.0, 1e-6, 4e-6])
+        edges = np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0])
+        x = Tensor(edges[:, None] + offsets)
+        assert grad_check(lambda t: T.gelu(t).sum(), x, eps=1e-5) < 1e-4
+
     def test_sigmoid(self):
         assert grad_check(lambda t: T.sigmoid(t).sum(), _rand((7,), 32)) < 1e-4
 
@@ -219,6 +230,67 @@ class TestOpGradients:
         assert grad_check(lambda t: t.mean(), _rand((3, 4), 40)) < 1e-4
         assert grad_check(lambda t: T.scale(t.sum(axis=0).sum(), 0.5), _rand((3, 4), 41)) < 1e-4
         assert grad_check(lambda t: t.mean(axis=1).sum(), _rand((3, 4), 42)) < 1e-4
+
+
+_ERF_TABLE = Path(__file__).resolve().parent / "erf_table.txt"
+
+
+def _table(fn: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, f(x)) rows of `erf_table.txt` whose function is `fn`."""
+    rows = [line.split() for line in _ERF_TABLE.read_text().splitlines()
+            if line and not line.startswith("#")]
+    return tuple(np.array([float.fromhex(r[i]) for r in rows if r[0] == fn])
+                 for i in (1, 2))
+
+
+class TestErf:
+    """`tensor.erf` and `gelu` against `erf_table.txt`: values of scipy
+    1.17.1's `scipy.special.erf`, and of the `gelu` that called it, written
+    before the package dropped scipy. The port takes exp from numpy, which
+    may round 1 ulp away from the C library's exp that scipy calls, and only
+    |x| > 1 runs an exp."""
+
+    def test_matches_scipy(self):
+        x, want = _table("erf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.erf(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        exact = (np.abs(x) <= 1.0) | np.isinf(x)  # with +-0 and a subnormal
+        assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
+        rest = ~exact & ~nan  # same sign, so the int64 views count ulps
+        assert np.abs(got[rest].view(np.int64) - want[rest].view(np.int64)).max() <= 1
+
+    def test_gelu_matches_the_scipy_gelu_and_warns_no_more(self):
+        x, want = _table("gelu")
+        minus_inf = x == -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.gelu(Tensor(x[~minus_inf])).data
+        # -inf * Phi(-inf) is -inf * 0: the scipy-backed gelu warned there too.
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in multiply"):
+            assert np.isnan(T.gelu(Tensor(x[minus_inf])).data).all()
+        x, want = x[~minus_inf], want[~minus_inf]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        exact = ~np.isfinite(x) | (np.abs(x * T._INV_SQRT2) <= 1.0)
+        assert np.array_equal(got[exact & ~np.isnan(x)].view(np.int64),
+                              want[exact & ~np.isnan(x)].view(np.int64))
+        # 1 ulp in erf moves x * (1 + erf) / 2 by less than |x| 2^-51.
+        np.testing.assert_array_less(np.abs(got[~exact] - want[~exact]),
+                                     np.abs(x[~exact]) * 2.0**-51)
+
+    def test_any_shape_and_layout(self):
+        x = np.random.default_rng(70).normal(scale=2.0, size=(3, 4, 5))
+        before = x.copy()
+        want = T.erf(x.reshape(-1)).reshape(x.shape)
+        np.testing.assert_array_equal(T.erf(x), want)
+        np.testing.assert_array_equal(T.erf(x.transpose(2, 0, 1)), want.transpose(2, 0, 1))
+        np.testing.assert_array_equal(x, before)
+        assert T.erf(np.array(0.5)).shape == () and T.erf(np.zeros((0, 3))).shape == (0, 3)
+        long = np.random.default_rng(71).normal(scale=2.0, size=2 * T._ERF_BLOCK + 99)
+        pieces = [T.erf(p) for p in np.array_split(long, 7)]  # each within one block
+        np.testing.assert_array_equal(T.erf(long), np.concatenate(pieces))
 
 
 class TestBatchedOps:
