@@ -69,24 +69,23 @@ class AttentionParams:
 
     @staticmethod
     def init(d_m: int, n_heads: int, rng: np.random.Generator) -> "AttentionParams":
+        """Standalone projections, drawn from `rng` as `draw` does."""
         if d_m % n_heads != 0:
             raise ContractError(f"d_m={d_m} not divisible by n_heads={n_heads}")
-        d_k = d_m // n_heads
-        return AttentionParams(
-            w_q=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
-            w_k=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
-            w_v=[glorot(rng, d_m, d_k) for _ in range(n_heads)],
-            w_o=glorot(rng, n_heads * d_k, d_m),
-        )
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for i in range(self.n_heads):
-            out[f"{prefix}.wq{i}"] = self.w_q[i]
-            out[f"{prefix}.wk{i}"] = self.w_k[i]
-            out[f"{prefix}.wv{i}"] = self.w_v[i]
-        out[f"{prefix}.wo"] = self.w_o
-        return out
+        def leaf(*shape):
+            return Tensor(np.zeros(shape), requires_grad=True)
+
+        heads = ([leaf(d_m, d_m // n_heads) for _ in range(n_heads)] for _ in "qkv")
+        params = AttentionParams(*heads, w_o=leaf(d_m, d_m))
+        params.draw(rng)
+        return params
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Glorot-fill every projection in place: all Q, then all K, then
+        all V, then the output projection, each head in order."""
+        for w in (*self.w_q, *self.w_k, *self.w_v, self.w_o):
+            glorot(rng, w)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from . import tensor as T
 from .audio import AudioClip, SAMPLE_RATE, crop_or_pad, logmel, standardize
 from .errors import ContractError
 from .model import MaeConfig, MaeParams, encode_all, patchify
-from .tensor import Tensor, glorot, no_grad
+from .tensor import Layout, Tensor, glorot, no_grad
 from .train import OptimizerState, TrainConfig, adamw_step
 
 CHUNK_SECONDS = 2.0
@@ -131,13 +131,12 @@ def train_probe(
 
     x_train = features[tr]
     rng = np.random.default_rng(seed)
-    p = {  # glorot draws and the optimizer's layout follow this order
-        "w1": glorot(rng, features.shape[1], PROBE_HIDDEN),
-        "b1": Tensor(np.zeros(PROBE_HIDDEN), requires_grad=True),
-        "w2": glorot(rng, PROBE_HIDDEN, n_out),
-        "b2": Tensor(np.zeros(n_out), requires_grad=True),
-    }
-    state = OptimizerState.init(p)
+    layout = Layout({"w1": (features.shape[1], PROBE_HIDDEN), "b1": (PROBE_HIDDEN,),
+                     "w2": (PROBE_HIDDEN, n_out), "b2": (n_out,)})
+    state = OptimizerState.init(np.zeros(layout.size), layout)
+    p = layout.leaves(state.params)
+    glorot(rng, p["w1"])
+    glorot(rng, p["w2"])
     grad_buf = state.bind_grads(p)
     grads = {k: t.grad for k, t in p.items()}
     adam_cfg = TrainConfig(weight_decay=0.0, betas=PROBE_BETAS)

@@ -9,7 +9,7 @@ Positional tables are fixed sinusoids added before the visibility gather.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from .attention import (
 )
 from .container import load_tensors, naming, read_json_object, save_tensors, write_text
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, glorot
+from .tensor import Layout, Tensor, glorot
 
 MLP_EXPANSION = 4
 
@@ -193,16 +193,6 @@ class LayerNormParams:
     g: Tensor
     b: Tensor
 
-    @staticmethod
-    def init(width: int) -> "LayerNormParams":
-        return LayerNormParams(
-            g=Tensor(np.ones(width), requires_grad=True),
-            b=Tensor(np.zeros(width), requires_grad=True),
-        )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.g": self.g, f"{prefix}.b": self.b}
-
 
 @dataclass
 class BlockParams:
@@ -215,30 +205,6 @@ class BlockParams:
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
-
-    @staticmethod
-    def init(width: int, n_heads: int, rng: np.random.Generator) -> "BlockParams":
-        hidden = MLP_EXPANSION * width
-        return BlockParams(
-            ln1=LayerNormParams.init(width),
-            attn=AttentionParams.init(width, n_heads, rng),
-            ln2=LayerNormParams.init(width),
-            mlp_w1=glorot(rng, width, hidden),
-            mlp_b1=Tensor(np.zeros(hidden), requires_grad=True),
-            mlp_w2=glorot(rng, hidden, width),
-            mlp_b2=Tensor(np.zeros(width), requires_grad=True),
-        )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.ln1.named(f"{prefix}.ln1"))
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(self.ln2.named(f"{prefix}.ln2"))
-        out[f"{prefix}.mlp_w1"] = self.mlp_w1
-        out[f"{prefix}.mlp_b1"] = self.mlp_b1
-        out[f"{prefix}.mlp_w2"] = self.mlp_w2
-        out[f"{prefix}.mlp_b2"] = self.mlp_b2
-        return out
 
 
 def _run_blocks(
@@ -273,7 +239,11 @@ def _run_blocks(
 
 @dataclass
 class MaeParams:
-    """All trainable tensors plus the fixed positional tables."""
+    """All trainable tensors plus the fixed positional tables.
+
+    Every leaf is a view of one float64 buffer, `flat`, laid out by
+    `layout(cfg)`: an update of `flat` in place reaches every leaf.
+    """
 
     embed_w: Tensor
     embed_b: Tensor
@@ -288,58 +258,99 @@ class MaeParams:
     head_b: Tensor
     enc_pos: np.ndarray = field(repr=False, default=None)
     dec_pos: np.ndarray = field(repr=False, default=None)
+    cfg: MaeConfig = field(repr=False, default=None)
+    flat: np.ndarray = field(repr=False, default=None)
+    _named: dict[str, Tensor] = field(repr=False, default=None)
+
+    @staticmethod
+    def _tree(cfg: MaeConfig, take, **rest) -> "MaeParams":
+        """The parameter tree with each leaf from `take(name, shape)`, called
+        in `named()` order: the checkpoint's names and the buffer's order."""
+
+        def norm(prefix: str, width: int) -> LayerNormParams:
+            return LayerNormParams(take(f"{prefix}.g", (width,)), take(f"{prefix}.b", (width,)))
+
+        def block(prefix: str, width: int, heads: int) -> BlockParams:
+            ln1 = norm(f"{prefix}.ln1", width)
+            qkv = [take(f"{prefix}.attn.w{c}{i}", (width, width // heads))
+                   for i in range(heads) for c in "qkv"]
+            attn = AttentionParams(qkv[0::3], qkv[1::3], qkv[2::3],
+                                   take(f"{prefix}.attn.wo", (width, width)))
+            hidden = MLP_EXPANSION * width
+            return BlockParams(ln1, attn, norm(f"{prefix}.ln2", width),
+                               take(f"{prefix}.mlp_w1", (width, hidden)),
+                               take(f"{prefix}.mlp_b1", (hidden,)),
+                               take(f"{prefix}.mlp_w2", (hidden, width)),
+                               take(f"{prefix}.mlp_b2", (width,)))
+
+        enc, dec, patch = cfg.enc_width, cfg.dec_width, cfg.patch_dim
+        return MaeParams(
+            embed_w=take("embed.w", (patch, enc)), embed_b=take("embed.b", (enc,)),
+            enc_blocks=[block(f"enc.block{i}", enc, cfg.enc_heads) for i in range(cfg.enc_depth)],
+            enc_norm=norm("enc.norm", enc),
+            latent_w=take("latent.w", (enc, dec)), latent_b=take("latent.b", (dec,)),
+            mask_token=take("mask_token", (dec,)),
+            dec_blocks=[block(f"dec.block{i}", dec, cfg.dec_heads) for i in range(cfg.dec_depth)],
+            dec_norm=norm("dec.norm", dec),
+            head_w=take("head.w", (dec, patch)), head_b=take("head.b", (patch,)),
+            cfg=cfg, **rest,
+        )
+
+    @staticmethod
+    def layout(cfg: MaeConfig) -> Layout:
+        """Every parameter's name, shape and span, from the config alone."""
+        shapes = {}
+        MaeParams._tree(cfg, lambda name, shape: shapes.setdefault(name, shape))
+        return Layout(shapes)
+
+    @staticmethod
+    def over(cfg: MaeConfig, flat: np.ndarray, enc_pos=None, dec_pos=None) -> "MaeParams":
+        """Fresh leaves over the spans of `flat`, a buffer in `layout(cfg)`.
+        The positional tables are computed unless given."""
+        named = MaeParams.layout(cfg).leaves(flat)
+        if enc_pos is None:
+            enc_pos = sincos_pos_embed(cfg.n_p, cfg.enc_width)
+            dec_pos = sincos_pos_embed(cfg.n_p, cfg.dec_width)
+        return MaeParams._tree(cfg, lambda name, shape: named[name], enc_pos=enc_pos,
+                               dec_pos=dec_pos, flat=flat, _named=named)
 
     @staticmethod
     def init(cfg: MaeConfig) -> "MaeParams":
+        """Unit norm gains, zero biases, and from one generator seeded with
+        `cfg.seed`, Glorot weights and a N(0, 0.02) mask token, in block order."""
+        params = MaeParams.over(cfg, np.zeros(MaeParams.layout(cfg).size))
+        for name, t in params._named.items():
+            if name.endswith(".g"):
+                t.data[...] = 1.0
         rng = np.random.default_rng(cfg.seed)
-        return MaeParams(
-            embed_w=glorot(rng, cfg.patch_dim, cfg.enc_width),
-            embed_b=Tensor(np.zeros(cfg.enc_width), requires_grad=True),
-            enc_blocks=[
-                BlockParams.init(cfg.enc_width, cfg.enc_heads, rng)
-                for _ in range(cfg.enc_depth)
-            ],
-            enc_norm=LayerNormParams.init(cfg.enc_width),
-            latent_w=glorot(rng, cfg.enc_width, cfg.dec_width),
-            latent_b=Tensor(np.zeros(cfg.dec_width), requires_grad=True),
-            mask_token=Tensor(
-                rng.normal(0.0, 0.02, cfg.dec_width), requires_grad=True
-            ),
-            dec_blocks=[
-                BlockParams.init(cfg.dec_width, cfg.dec_heads, rng)
-                for _ in range(cfg.dec_depth)
-            ],
-            dec_norm=LayerNormParams.init(cfg.dec_width),
-            head_w=glorot(rng, cfg.dec_width, cfg.patch_dim),
-            head_b=Tensor(np.zeros(cfg.patch_dim), requires_grad=True),
-            enc_pos=sincos_pos_embed(cfg.n_p, cfg.enc_width),
-            dec_pos=sincos_pos_embed(cfg.n_p, cfg.dec_width),
-        )
+
+        def draw(blocks: list[BlockParams]) -> None:
+            for blk in blocks:
+                blk.attn.draw(rng)
+                glorot(rng, blk.mlp_w1)
+                glorot(rng, blk.mlp_w2)
+
+        glorot(rng, params.embed_w)
+        draw(params.enc_blocks)
+        glorot(rng, params.latent_w)
+        params.mask_token.data[...] = rng.normal(0.0, 0.02, cfg.dec_width)
+        draw(params.dec_blocks)
+        glorot(rng, params.head_w)
+        return params
 
     def named(self) -> dict[str, Tensor]:
-        out = {"embed.w": self.embed_w, "embed.b": self.embed_b}
-        for i, blk in enumerate(self.enc_blocks):
-            out.update(blk.named(f"enc.block{i}"))
-        out.update(self.enc_norm.named("enc.norm"))
-        out["latent.w"] = self.latent_w
-        out["latent.b"] = self.latent_b
-        out["mask_token"] = self.mask_token
-        for i, blk in enumerate(self.dec_blocks):
-            out.update(blk.named(f"dec.block{i}"))
-        out.update(self.dec_norm.named("dec.norm"))
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+        """Every leaf by checkpoint name, in the flat buffer's order."""
+        return dict(self._named)
 
     def replica(self) -> "MaeParams":
         """The same parameters under fresh leaf Tensors, for a second graph.
 
-        Each leaf shares its `.data` array with this one but keeps its own
-        `.grad`, so two graphs can backpropagate at once without writing to
-        a common Tensor. An in-place update of the data, as `adamw_step`
-        makes, reaches both; rebinding a leaf's `.data` reaches only one.
+        Each leaf views the same span of `flat` as this one but keeps its
+        own `.grad`, so two graphs can backpropagate at once without
+        writing to a common Tensor. An in-place update of `flat`, as
+        `adamw_step` makes, reaches both.
         """
-        return _share_leaves(self)
+        return MaeParams.over(self.cfg, self.flat, self.enc_pos, self.dec_pos)
 
     def no_decay_names(self) -> set[str]:
         """Layer-norm gains/biases and the mask token are exempt from weight decay."""
@@ -348,18 +359,6 @@ class MaeParams:
             if ".ln1." in name or ".ln2." in name or ".norm." in name:
                 names.add(name)
         return names
-
-
-def _share_leaves(obj):
-    """Copy of a parameter tree with a new Tensor over each leaf's array."""
-    if isinstance(obj, Tensor):
-        return Tensor(obj.data, requires_grad=obj.requires_grad)
-    if isinstance(obj, list):
-        return [_share_leaves(o) for o in obj]
-    if is_dataclass(obj):
-        return replace(obj, **{f.name: _share_leaves(getattr(obj, f.name))
-                               for f in fields(obj)})
-    return obj  # the positional tables: read-only, shared as they are
 
 
 @dataclass
@@ -547,24 +546,22 @@ def _load_config(sidecar: Path) -> MaeConfig:
 def load_checkpoint(path: str | Path) -> tuple[MaeConfig, MaeParams]:
     """Load and verify: the config sidecar is checked before any tensor is
     read, then every expected tensor must be present with its shape; each
-    error names the file at fault."""
+    error names the file at fault. The stored tensors are copied into one
+    buffer in the config's layout; nothing is drawn."""
     path = Path(path)
     cfg = _load_config(path.with_suffix(path.suffix + ".json"))
-    params = MaeParams.init(cfg)
+    layout = MaeParams.layout(cfg)
     stored = load_tensors(path)
-    expected = params.named()
     with naming(path):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
+        missing = sorted(set(layout.shapes) - set(stored))
+        extra = sorted(set(stored) - set(layout.shapes))
         if missing or extra:
             raise ContractError(
-                f"checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}"
-            )
-        for name, t in expected.items():
-            if stored[name].shape != t.data.shape:
-                raise ContractError(
-                    f"checkpoint tensor {name!r}: shape {stored[name].shape} "
-                    f"!= expected {t.data.shape}"
-                )
-            t.data = stored[name]
-    return cfg, params
+                f"checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}")
+        flat = np.empty(layout.size)
+        for name, (start, stop) in layout.spans.items():
+            if stored[name].shape != layout.shapes[name]:
+                raise ContractError(f"checkpoint tensor {name!r}: shape {stored[name].shape} "
+                                    f"!= expected {layout.shapes[name]}")
+            flat[start:stop] = stored[name].ravel()
+    return cfg, MaeParams.over(cfg, flat)

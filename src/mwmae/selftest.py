@@ -15,7 +15,7 @@ from .attention import AttentionParams, attention, mw_mha, mha, win_attention, w
 from .analysis import AttnRecord, PatchGrid, attention_entropy, mean_attention_distance, pwcca
 from .container import load_tensors, save_tensors
 from .model import MaeConfig, MaeParams, mae_forward, patchify, random_mask, unpatchify
-from .tensor import Tensor, grad_check
+from .tensor import Layout, Tensor, grad_check
 from .train import TrainConfig, OptimizerState, adamw_step, effective_lr, lr_at
 
 _CHECKS = []
@@ -139,8 +139,9 @@ def _optim():
     assert lr_at(0, spe, cfg) == 0.0
     assert lr_at(cfg.total_epochs * spe, spe, cfg) == cfg.min_lr
 
-    p = {"w": Tensor(np.ones(4), requires_grad=True)}
-    state = OptimizerState.init(p)
+    layout = Layout({"w": (4,)})
+    state = OptimizerState.init(np.ones(4), layout)
+    p = layout.leaves(state.params)
     step_cfg = TrainConfig(base_lr=1.0, batch_size=256, weight_decay=0.05)
     adamw_step(p, {"w": np.zeros(4)}, state, lr=0.01, cfg=step_cfg)
     assert np.allclose(p["w"].data, 1.0 - 0.01 * 0.05, atol=0, rtol=0)

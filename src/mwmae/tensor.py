@@ -136,10 +136,30 @@ class Tensor:
         return reduce_mean(self, axis)
 
 
-def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
-    """Trainable (n_in, n_out) weight, Glorot-uniform: one draw from `rng`."""
+def glorot(rng: np.random.Generator, w: Tensor) -> None:
+    """Fill the (n_in, n_out) weight `w` in place, Glorot-uniform: one draw from `rng`."""
+    n_in, n_out = w.shape
     bound = np.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(-bound, bound, (n_in, n_out)), requires_grad=True)
+    w.data[...] = rng.uniform(-bound, bound, (n_in, n_out))
+
+
+class Layout:
+    """Named shapes packed in order into one flat float64 buffer: `spans`
+    maps each name to its (start, stop) slice and `size` is the length."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.shapes, self.spans, self.size = dict(shapes), {}, 0
+        for name, shape in self.shapes.items():
+            start, self.size = self.size, self.size + int(np.prod(shape))
+            self.spans[name] = (start, self.size)
+
+    def leaves(self, flat: np.ndarray) -> dict[str, Tensor]:
+        """A fresh trainable leaf per name, each a view of its span of `flat`."""
+        if flat.dtype != np.float64 or flat.shape != (self.size,):  # else Tensor() copies
+            raise ContractError(f"a layout of {self.size} float64 values got a {flat.dtype} "
+                                f"buffer of shape {flat.shape}")
+        return {name: Tensor(flat[start:stop].reshape(self.shapes[name]), requires_grad=True)
+                for name, (start, stop) in self.spans.items()}
 
 
 def _consumed(g: np.ndarray) -> tuple:

@@ -19,7 +19,7 @@ from .container import naming, write_text
 from .errors import ContractError, TrainingDivergedError
 from .model import MaeConfig, MaeParams, check_field, mae_forward, save_checkpoint
 from .runtime import thread_pair
-from .tensor import Tensor, scale
+from .tensor import Layout, Tensor, scale
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 class OptimizerState:
     """Parameters and first/second moments as one flat buffer each.
 
-    `init` copies the parameters, in dict order, into `params` and rebinds
-    each leaf's `.data` to its view; `spans` maps each name to its (start,
-    stop) slice. `scratch` holds two more rows of that length that
-    `adamw_step` works in, so a step allocates no parameter-sized arrays.
+    `init` adopts the parameters' buffer as `params`, which their leaves
+    view (`Layout.leaves`); `spans` maps each name to its (start, stop)
+    slice. `scratch` holds two more rows of that length that `adamw_step`
+    works in, so a step allocates no parameter-sized arrays.
 
     `adamw_step` writes `params` in place, and `backward()` adds into the
     views that `bind_grads` makes, so nothing may rebind a bound leaf's
@@ -101,31 +101,22 @@ class OptimizerState:
     step: int = 0
 
     @staticmethod
-    def init(params: dict[str, Tensor]) -> "OptimizerState":
-        spans = {}
-        stop = 0
-        for k, t in params.items():
-            spans[k] = (stop, stop + t.data.size)
-            stop += t.data.size
-        state = OptimizerState(params=np.zeros(stop), m=np.zeros(stop), v=np.zeros(stop),
-                               spans=spans, scratch=np.zeros((2, stop)))
-        for t, view in state._views(state.params, params):
-            view[...] = t.data
-            t.data = view
-        return state
+    def init(params: np.ndarray, layout: Layout) -> "OptimizerState":
+        """State over `params`, a buffer in `layout`: the buffer itself, not a copy."""
+        n = layout.size
+        if params.shape != (n,):
+            raise ContractError(f"a buffer of shape {params.shape} for a layout of {n} values")
+        return OptimizerState(params=params, m=np.zeros(n), v=np.zeros(n), spans=layout.spans,
+                              scratch=np.zeros((2, n)))
 
     def bind_grads(self, params: dict[str, Tensor]) -> np.ndarray:
         """A zeroed gradient buffer with each leaf's `.grad` bound to its
         view, so `backward()` accumulates into the buffer in place."""
         buf = np.zeros(len(self.params))
-        for t, view in self._views(buf, params):
-            t.grad = view
-        return buf
-
-    def _views(self, flat: np.ndarray, params: dict[str, Tensor]):
         for k, t in params.items():
             start, stop = self.spans[k]
-            yield t, flat[start:stop].reshape(t.data.shape)
+            t.grad = buf[start:stop].reshape(t.shape)
+        return buf
 
 
 def adamw_step(
@@ -140,7 +131,7 @@ def adamw_step(
     """One AdamW update in place: decoupled decay first, then the Adam step.
 
     The update runs once over a flat copy of the gradients and over
-    `state.params`, which `params`' leaves view (`OptimizerState.init`),
+    `state.params`, which `params`' leaves view (`Layout.leaves`),
     with the float ops of a per-tensor loop, so every parameter ends up
     bit-identical to that loop. Decay multiplies each element by
     1 - lr*weight_decay, except in `no_decay` tensors, which keep their
@@ -312,9 +303,9 @@ def train(
         named = params.named()
         no_decay = params.no_decay_names()
         shards = _shard_bounds(batch, mae_cfg)
-        state = OptimizerState.init(named)
-        # Replicas made after `init` share its views of `state.params`; each
-        # shard's graph backpropagates into its own gradient buffer.
+        state = OptimizerState.init(params.flat, MaeParams.layout(mae_cfg))
+        # Replicas view the same buffer; each shard's graph backpropagates
+        # into its own gradient buffer.
         shard_params = [params] + [params.replica() for _ in shards[1:]]
         grad_bufs = [state.bind_grads(p.named()) for p in shard_params]
         grads = {k: t.grad for k, t in named.items()}

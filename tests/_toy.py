@@ -67,6 +67,16 @@ def toy_train_config(seed: int = 1, **overrides) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def assert_views_spans(leaves, flat, layout) -> None:
+    """Each leaf, in layout order, is a contiguous view of exactly its span of `flat`."""
+    assert list(leaves) == list(layout.spans)
+    for name, t in leaves.items():
+        start, stop = layout.spans[name]
+        assert t.data.base is flat and t.data.flags.c_contiguous, name
+        assert (t.data.ctypes.data - flat.ctypes.data) // flat.itemsize == start, name
+        assert t.data.size == stop - start and t.shape == layout.shapes[name], name
+
+
 def toy_spectrograms(n: int, shape=(8, 8), seed: int = 0, noise: float = 0.15):
     """Standardized prototype-plus-noise spectrograms."""
     rng = np.random.default_rng(seed)

@@ -33,7 +33,7 @@ from mwmae.model import (
     random_mask,
 )
 from mwmae.synth import SynthSpec, gen_corpus, read_labels
-from mwmae.tensor import Tensor, grad_check
+from mwmae.tensor import Layout, Tensor, grad_check
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
@@ -197,8 +197,9 @@ def test_criterion_06_schedule_and_optimizer_numerics():
     left_limit = lr_at(boundary - 1, spe, cfg) + ramp_step
     continuity = abs(lr_at(boundary, spe, cfg) - left_limit)
 
-    p = {"w": Tensor(np.full(8, 3.0), requires_grad=True)}
-    state = OptimizerState.init(p)
+    layout = Layout({"w": (8,)})
+    state = OptimizerState.init(np.full(8, 3.0), layout)
+    p = layout.leaves(state.params)
     step_cfg = TrainConfig(weight_decay=0.05)
     adamw_step(p, {"w": np.zeros(8)}, state, lr=0.02, cfg=step_cfg)
     decay_exact = np.array_equal(p["w"].data, np.full(8, 3.0 * (1 - 0.02 * 0.05)))

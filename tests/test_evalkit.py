@@ -16,6 +16,9 @@ from mwmae.evalkit import (
 from mwmae.cli import main
 from mwmae.container import save_tensors
 from mwmae.model import MaeConfig, MaeParams, encode_all, patchify
+from mwmae.tensor import Layout
+
+from _toy import assert_views_spans
 
 
 def _embed_config():
@@ -214,6 +217,24 @@ class TestTrainProbe:
         assert all(np.shares_memory(t.data, state.params) for t in named.values())
         best = seen["after"][result.best_epoch - 1]
         assert state.params.tobytes() == best.tobytes() != seen["after"][-1].tobytes()
+
+    def test_leaves_view_one_buffer_at_their_spans(self, monkeypatch):
+        feats, labels, splits = _blobs(30, 3, 6, margin=2.0, seed=2)
+        seen = []
+        real = evalkit.adamw_step
+
+        def spy(named, grads, state, *args, **kwargs):
+            seen.append((named, state))
+            real(named, grads, state, *args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "adamw_step", spy)
+        train_probe(feats, labels, splits, seed=9)
+        named, state = seen[0]
+        hidden = evalkit.PROBE_HIDDEN
+        layout = Layout({"w1": (6, hidden), "b1": (hidden,), "w2": (hidden, 3), "b2": (3,)})
+        assert all(n is named and s is state for n, s in seen)
+        assert state.spans == layout.spans
+        assert_views_spans(named, state.params, layout)
 
     def test_single_class_rejected(self):
         feats = np.random.default_rng(3).normal(size=(40, 4))

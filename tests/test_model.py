@@ -31,7 +31,8 @@ from mwmae.model import (
 )
 from mwmae.tensor import Tensor, grad_check
 
-from _toy import full_stack_taps, param_grad_errors, tiny_config, toy_spectrograms
+from _toy import (assert_views_spans, full_stack_taps, param_grad_errors, tiny_config,
+                  toy_spectrograms)
 
 
 class TestPatchify:
@@ -450,7 +451,8 @@ class TestReplica:
         named, twin = params.named(), replica.named()
         assert list(twin) == list(named)
         for k, t in named.items():
-            assert twin[k] is not t and twin[k].data is t.data and twin[k].requires_grad
+            assert twin[k] is not t and twin[k].requires_grad
+        assert_views_spans(twin, params.flat, MaeParams.layout(tiny_config()))
         assert replica.enc_pos is params.enc_pos and replica.dec_pos is params.dec_pos
 
     def test_backward_writes_only_its_own_leaves(self):
@@ -461,6 +463,34 @@ class TestReplica:
         mae_forward(spec, cfg, replica, seed=1).loss.backward()
         assert all(t.grad is None for t in params.named().values())
         assert all(t.grad is not None for t in replica.named().values())
+
+
+class TestFlatParameters:
+    """Every leaf views one float64 buffer, laid out from the config alone."""
+
+    def test_init_leaves_view_one_buffer(self):
+        cfg = tiny_config()
+        params = MaeParams.init(cfg)
+        layout = MaeParams.layout(cfg)
+        assert params.flat.shape == (layout.size,)
+        assert_views_spans(params.named(), params.flat, layout)
+
+    def test_load_views_one_buffer_and_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = tiny_config(seed=4)
+        params = MaeParams.init(cfg)
+        save_checkpoint(tmp_path / "m.bin", cfg, params)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from a generator")
+
+        for module in ("mwmae.model", "mwmae.attention"):
+            monkeypatch.setattr(importlib.import_module(module), "glorot", no_draw)
+        monkeypatch.setattr(importlib.import_module("mwmae.model").np.random, "default_rng",
+                            no_draw)
+        cfg2, loaded = load_checkpoint(tmp_path / "m.bin")
+        assert cfg2 == cfg
+        assert_views_spans(loaded.named(), loaded.flat, MaeParams.layout(cfg))
+        np.testing.assert_array_equal(loaded.flat, params.flat.astype(np.float32))
 
 
 class TestCheckpoint:

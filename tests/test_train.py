@@ -17,7 +17,7 @@ from mwmae import tensor as T
 from mwmae.errors import ContractError, TrainingDivergedError
 from mwmae.model import MaeConfig, MaeParams, load_checkpoint, mae_forward
 from mwmae.runtime import _keep_freed_memory
-from mwmae.tensor import Tensor
+from mwmae.tensor import Layout
 from mwmae.train import (
     OptimizerState,
     TrainConfig,
@@ -29,8 +29,8 @@ from mwmae.train import (
     train,
 )
 
-from _toy import (FailsMidway, blas_threads, thread_starts,  # noqa: F401 (fixtures)
-                  tiny_config, toy_spectrograms, toy_train_config)
+from _toy import (FailsMidway, assert_views_spans, blas_threads,  # noqa: F401 (fixtures)
+                  thread_starts, tiny_config, toy_spectrograms, toy_train_config)
 
 
 class TestEffectiveLr:
@@ -110,17 +110,23 @@ class TestTrainConfig:
         assert cfg.base_lr == 1.5e-5
 
 
+def _flat(**arrays):
+    """Leaves over one buffer that holds `arrays` in order, and an optimizer
+    state over that buffer."""
+    layout = Layout({k: np.shape(a) for k, a in arrays.items()})
+    state = OptimizerState.init(np.concatenate([np.ravel(a) for a in arrays.values()]), layout)
+    return layout.leaves(state.params), state
+
+
 class TestAdamW:
     def test_zero_grad_is_pure_decay(self):
-        p = {"w": Tensor(np.full(5, 2.0), requires_grad=True)}
-        state = OptimizerState.init(p)
+        p, state = _flat(w=np.full(5, 2.0))
         cfg = TrainConfig(weight_decay=0.05)
         adamw_step(p, {"w": np.zeros(5)}, state, lr=0.01, cfg=cfg)
         np.testing.assert_allclose(p["w"].data, 2.0 * (1 - 0.01 * 0.05), rtol=0, atol=0)
 
     def test_no_decay_set_respected(self):
-        p = {"ln.g": Tensor(np.ones(3), requires_grad=True)}
-        state = OptimizerState.init(p)
+        p, state = _flat(**{"ln.g": np.ones(3)})
         cfg = TrainConfig(weight_decay=0.05)
         adamw_step(p, {"ln.g": np.zeros(3)}, state, lr=0.01, cfg=cfg,
                    no_decay={"ln.g"})
@@ -128,8 +134,7 @@ class TestAdamW:
 
     def test_first_step_matches_hand_evaluation(self):
         g = np.array([0.3, -1.2, 4.0])
-        p = {"w": Tensor(np.zeros(3), requires_grad=True)}
-        state = OptimizerState.init(p)
+        p, state = _flat(w=np.zeros(3))
         cfg = TrainConfig(weight_decay=0.0, betas=(0.9, 0.999))
         lr = 0.01
         adamw_step(p, {"w": g.copy()}, state, lr=lr, cfg=cfg)
@@ -140,15 +145,13 @@ class TestAdamW:
     def test_identity_when_lr_and_wd_zero(self):
         rng = np.random.default_rng(0)
         w0 = rng.normal(size=4)
-        p = {"w": Tensor(w0.copy(), requires_grad=True)}
-        state = OptimizerState.init(p)
+        p, state = _flat(w=w0.copy())
         cfg = TrainConfig(weight_decay=0.0)
         adamw_step(p, {"w": rng.normal(size=4)}, state, lr=0.0, cfg=cfg)
         np.testing.assert_array_equal(p["w"].data, w0)
 
     def test_nan_grad_rejected(self):
-        p = {"w": Tensor(np.ones(2), requires_grad=True)}
-        state = OptimizerState.init(p)
+        p, state = _flat(w=np.ones(2))
         with pytest.raises(TrainingDivergedError):
             adamw_step(p, {"w": np.array([np.nan, 0.0])}, state, lr=0.01,
                        cfg=TrainConfig())
@@ -156,8 +159,7 @@ class TestAdamW:
     def test_deterministic_across_runs(self):
         def run():
             rng = np.random.default_rng(7)
-            p = {"w": Tensor(rng.normal(size=6), requires_grad=True)}
-            state = OptimizerState.init(p)
+            p, state = _flat(w=rng.normal(size=6))
             cfg = TrainConfig(weight_decay=0.05)
             for _ in range(20):
                 adamw_step(p, {"w": rng.normal(size=6)}, state, lr=1e-3, cfg=cfg)
@@ -193,14 +195,12 @@ class TestFlatAdamW:
 
     def _params(self, seed):
         rng = np.random.default_rng(seed)
-        return {k: Tensor(rng.normal(size=s), requires_grad=True)
-                for k, s in self.SHAPES.items()}
+        return _flat(**{k: rng.normal(size=s) for k, s in self.SHAPES.items()})
 
     @pytest.mark.parametrize("weight_decay", [0.05, 0.0])
     def test_matches_per_tensor_loop_over_20_steps(self, weight_decay):
         cfg = TrainConfig(weight_decay=weight_decay, betas=(0.9, 0.95))
-        flat, ref = self._params(0), self._params(0)
-        state = OptimizerState.init(flat)
+        (flat, state), (ref, _) = self._params(0), self._params(0)
         ref_state = {"step": 0,
                      "m": {k: np.zeros_like(t.data) for k, t in ref.items()},
                      "v": {k: np.zeros_like(t.data) for k, t in ref.items()}}
@@ -221,19 +221,25 @@ class TestFlatAdamW:
             np.testing.assert_array_equal(state.v[start:stop], ref_state["v"][k].ravel())
 
     def test_state_is_flat_in_dict_order(self):
-        params = self._params(2)
-        before = {k: t.data.copy() for k, t in params.items()}
-        state = OptimizerState.init(params)
+        params, state = self._params(2)
+        rng = np.random.default_rng(2)
         assert list(state.spans) == list(self.SHAPES)
         assert state.spans["enc.w"] == (0, 12) and state.spans["head.b"] == (35, 36)
         assert state.params.shape == state.m.shape == state.v.shape == (36,)
+        assert_views_spans(params, state.params, Layout(self.SHAPES))
         for k, t in params.items():
-            assert np.shares_memory(t.data, state.params) and t.shape == self.SHAPES[k]
-            assert t.data.tobytes() == before[k].tobytes()
+            assert t.data.tobytes() == rng.normal(size=self.SHAPES[k]).tobytes()
+
+    def test_a_buffer_that_does_not_fit_is_refused(self):
+        layout = Layout(self.SHAPES)
+        for buf in (np.zeros(36, dtype=np.float32), np.zeros(35), np.zeros((36, 1))):
+            with pytest.raises(ContractError, match="a layout of 36 float64 values"):
+                layout.leaves(buf)
+        with pytest.raises(ContractError, match="a layout of 36 values"):
+            OptimizerState.init(np.zeros(37), layout)
 
     def test_bound_gradients_view_one_buffer(self):
-        params = self._params(6)
-        state = OptimizerState.init(params)
+        params, state = self._params(6)
         buf = state.bind_grads(params)
         assert buf.shape == state.params.shape and not buf.any()
         for k, t in params.items():
@@ -243,8 +249,7 @@ class TestFlatAdamW:
         assert buf[start:stop].all() and buf.sum() == stop - start
 
     def test_zero_grad_keeps_a_bound_gradient_bound(self):
-        params = self._params(7)
-        state = OptimizerState.init(params)
+        params, state = self._params(7)
         buf = state.bind_grads(params)
         w = params["dec.w"]
         w.grad += 5.0
@@ -258,8 +263,7 @@ class TestFlatAdamW:
 
     def test_non_finite_grad_names_first_and_changes_nothing(self):
         cfg = TrainConfig(weight_decay=0.05)
-        params = self._params(3)
-        state = OptimizerState.init(params)
+        params, state = self._params(3)
         rng = np.random.default_rng(4)
         good = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
         adamw_step(params, good, state, 1e-2, cfg, no_decay=self.NO_DECAY)
@@ -277,8 +281,7 @@ class TestFlatAdamW:
         assert state.step == before[3]
 
     def test_names_must_match_state(self):
-        params = self._params(5)
-        state = OptimizerState.init(params)
+        params, state = self._params(5)
         del params["mask"]
         grads = {k: np.zeros(t.shape) for k, t in params.items()}
         with pytest.raises(ContractError):
@@ -292,7 +295,7 @@ class TestDescentSanity:
         params = MaeParams.init(cfg)
         specs = toy_spectrograms(8, seed=3)
         named = params.named()
-        state = OptimizerState.init(named)
+        state = OptimizerState.init(params.flat, MaeParams.layout(cfg))
         opt_cfg = TrainConfig(base_lr=1e-3 * 256, batch_size=1,
                               weight_decay=0.0, warmup_epochs=0, total_epochs=1)
 
@@ -324,6 +327,23 @@ class TestTrainLoop:
                     max_steps=200, loss_csv=tmp_path / "loss.csv")
         smoothed = np.convolve(res.losses, np.ones(20) / 20, mode="valid")
         assert smoothed[-1] <= 0.5 * smoothed[0]
+
+    def test_updates_reach_arrays_taken_before_the_call(self):
+        params = MaeParams.init(tiny_config())
+        taken = {k: t.data for k, t in params.named().items()}
+        start = {k: a.copy() for k, a in taken.items()}
+        result = train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(),
+                       max_steps=3, params=params)
+        assert result.params is params
+        for k, t in params.named().items():
+            assert t.data is taken[k], k
+        assert not np.array_equal(taken["head.w"], start["head.w"])
+
+    def test_params_of_another_shape_are_refused(self):
+        wider = MaeParams.init(tiny_config(dec_width=20))
+        with pytest.raises(ContractError, match="for a layout of"):
+            train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(), max_steps=1,
+                  params=wider)
 
     def test_lr_log_matches_schedule(self, tmp_path):
         specs = toy_spectrograms(16, seed=1)
@@ -621,6 +641,36 @@ class TestShardedStep:
         assert list(got) == list(named)
         for k, t in named.items():
             assert np.max(np.abs(got[k] - t.grad)) <= 1e-12 * max(1.0, np.abs(t.grad).max()), k
+
+    def test_each_step_reaches_both_shards_and_grads_stay_apart(self, monkeypatch):
+        layout = MaeParams.layout(pipeline_config())
+        shard_params, steps = [], []
+        real_forward, real_adamw = train_module.mae_forward, train_module.adamw_step
+
+        def forward(spec, cfg, params, seed):
+            if all(params is not p for p in shard_params):
+                shard_params.append(params)
+            return real_forward(spec, cfg, params, seed=seed)
+
+        def adamw(params, grads, state, lr, cfg, no_decay):
+            before = state.params.copy()
+            real_adamw(params, grads, state, lr, cfg, no_decay=no_decay)
+            assert len(shard_params) == 2 and shard_params[0] is not shard_params[1]
+            grad_bufs = []
+            for p in shard_params:
+                assert p.flat is state.params
+                assert_views_spans(p.named(), state.params, layout)
+                grad_bufs.append(p.named()["head.w"].grad.base)
+                assert_views_spans({k: T.Tensor(t.grad) for k, t in p.named().items()},
+                                   grad_bufs[-1], layout)
+            assert not np.shares_memory(grad_bufs[0], grad_bufs[1])
+            assert not np.shares_memory(grad_bufs[0], state.params)
+            steps.append(not np.array_equal(before, state.params))
+
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        monkeypatch.setattr(train_module, "adamw_step", adamw)
+        train(pipeline_specs(16), pipeline_config(), pipeline_train_config(), max_steps=3)
+        assert steps == [False, True, True]  # the warmup's first rate is 0
 
     def test_seeded_run_is_byte_identical(self, tmp_path, forward_calls):
         outputs = []
