@@ -124,8 +124,10 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container; arrays come back as float64.
+def load_tensors(path: str | Path, *, views: bool = False) -> dict[str, np.ndarray]:
+    """Read a container; arrays come back as float64, or with `views` as
+    read-only float32 views of the bytes read, which a caller that copies
+    them into a buffer of its own can take without a copy per tensor.
 
     The header entries are walked in name order, each checked against the
     file and the end of the one before it; a truncated or inconsistent file,
@@ -153,7 +155,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         arr = np.frombuffer(raw, dtype=_DTYPE, count=math.prod(shape), offset=base + end)
         if not np.isfinite(arr).all():
             raise ContractError(f"{path}: tensor {name!r} has non-finite values")
-        out[name] = arr.reshape(shape).astype(np.float64)
+        out[name] = arr.reshape(shape) if views else arr.reshape(shape).astype(np.float64)
         end += arr.nbytes
     if base + end != len(raw):
         raise ContractError(f"{path}: the tensors end at payload byte {end} of {len(raw) - base}")

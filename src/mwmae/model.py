@@ -342,15 +342,15 @@ class MaeParams:
         """Every leaf by checkpoint name, in the flat buffer's order."""
         return dict(self._named)
 
-    def replica(self) -> "MaeParams":
-        """The same parameters under fresh leaf Tensors, for a second graph.
+    def replica(self, flat: np.ndarray) -> "MaeParams":
+        """The same parameters under fresh leaf Tensors over `flat`, a buffer
+        in the same layout (`self.flat` itself, or a copy), for a second graph.
 
-        Each leaf views the same span of `flat` as this one but keeps its
-        own `.grad`, so two graphs can backpropagate at once without
-        writing to a common Tensor. An in-place update of `flat`, as
-        `adamw_step` makes, reaches both.
+        Each leaf keeps its own `.grad`, so two graphs can backpropagate at
+        once without writing to a common Tensor. An in-place update of the
+        viewed buffer, as `adamw_step` makes, reaches every leaf over it.
         """
-        return MaeParams.over(self.cfg, self.flat, self.enc_pos, self.dec_pos)
+        return MaeParams.over(self.cfg, flat, self.enc_pos, self.dec_pos)
 
     def no_decay_names(self) -> set[str]:
         """Layer-norm gains/biases and the mask token are exempt from weight decay."""
@@ -546,12 +546,13 @@ def _load_config(sidecar: Path) -> MaeConfig:
 def load_checkpoint(path: str | Path) -> tuple[MaeConfig, MaeParams]:
     """Load and verify: the config sidecar is checked before any tensor is
     read, then every expected tensor must be present with its shape; each
-    error names the file at fault. The stored tensors are copied into one
-    buffer in the config's layout; nothing is drawn."""
+    error names the file at fault. Each stored float32 tensor is copied
+    from the file's bytes straight into its span of one float64 buffer in
+    the config's layout; nothing is drawn."""
     path = Path(path)
     cfg = _load_config(path.with_suffix(path.suffix + ".json"))
     layout = MaeParams.layout(cfg)
-    stored = load_tensors(path)
+    stored = load_tensors(path, views=True)
     with naming(path):
         missing = sorted(set(layout.shapes) - set(stored))
         extra = sorted(set(stored) - set(layout.shapes))

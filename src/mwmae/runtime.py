@@ -1,5 +1,7 @@
-"""The package's one thread pool, and the BLAS and malloc settings it runs
-under. It imports nothing from the package, so any module may use it.
+"""The package's parallel helpers, and the BLAS and malloc settings they run
+under: one thread pool (`thread_pair`) and one forked worker process
+(`worker_process`) with the shared arrays it works on (`shared_zeros`). It
+imports nothing from the package, so any module may use it.
 """
 
 from __future__ import annotations
@@ -7,6 +9,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
+import mmap
+import pickle
+import signal
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -61,6 +68,27 @@ def _blas_thread_hooks():
 
 
 @contextlib.contextmanager
+def one_blas_thread():
+    """A block that runs after `_keep_freed_memory()`, with BLAS on one thread.
+
+    Each thread or process of the package then keeps its matmuls on its own
+    core, and the numbers do not depend on the library's thread count. A
+    process forked inside the block inherits the setting. The caller's
+    count comes back on every exit. It is process-wide, so blocks on
+    different threads must not overlap. Without numpy's OpenBLAS hooks,
+    BLAS is left as it is.
+    """
+    _keep_freed_memory()
+    get, set_ = _blas_thread_hooks() or (lambda: None, lambda count: None)
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
+@contextlib.contextmanager
 def thread_pair():
     """Yield `run(fn, items)`: `[fn(x) for x in items]` on a two-thread pool.
 
@@ -69,23 +97,128 @@ def thread_pair():
     two items runs on the calling thread. The pool starts a thread only for
     a submitted task, so a block without such calls starts none, and it
     joins its threads when the block exits. `fn` may run on a pool thread,
-    so per-thread state such as `no_grad` must be entered inside it.
-
-    The block runs after `_keep_freed_memory()`, with BLAS on one thread:
-    each thread's matmuls stay on its own core, and the numbers do not
-    depend on the library's thread count. The caller's count comes back on
-    every exit. It is process-wide, so blocks on different threads must not
-    overlap. Without numpy's OpenBLAS hooks, BLAS is left as it is.
+    so per-thread state such as `no_grad` must be entered inside it. The
+    block runs inside `one_blas_thread()`.
     """
-    _keep_freed_memory()
-    get, set_ = _blas_thread_hooks() or (lambda: None, lambda count: None)
-    saved = get()
-    set_(1)
-    try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            def run(fn, items) -> list:
-                return list((pool.map if len(items) > 1 else map)(fn, items))
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        def run(fn, items) -> list:
+            return list((pool.map if len(items) > 1 else map)(fn, items))
 
-            yield run
+        yield run
+
+
+class WorkerError(RuntimeError):
+    """An exception of the worker process that could not be sent back as
+    itself; the message names its type and text."""
+
+
+class WorkerTraceback(Exception):
+    """The worker's formatted traceback, set as the `__cause__` of every
+    exception that `worker_process` raises on the worker's behalf."""
+
+
+def shared_zeros(*shape: int) -> np.ndarray:
+    """A zeroed float64 array in anonymous `MAP_SHARED` memory: a process
+    forked after this call reads and writes the same pages."""
+    return np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+
+
+def _fork_context():
+    """multiprocessing's `fork` context, or None where the platform has no
+    `fork` start method. multiprocessing is imported here, so a process
+    that never starts a worker never loads it."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc` if it survives a pickle round trip, else a WorkerError that
+    names its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return WorkerError(f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}")
+
+
+def _serve(fn, conn, parent_end) -> None:
+    """The worker's loop: for each `args` received, send back `fn(*args)` or
+    the exception it raised, until the pipe reaches EOF.
+
+    The worker closes its copy of the parent's end first, so the pipe also
+    reaches EOF when the parent dies, even by SIGKILL. Ctrl-C reaches the
+    whole process group; the parent handles it and ends the worker.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            args = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, fn(*args), None)
+        except Exception as exc:  # anything else ends the worker
+            reply = (False, _portable(exc), traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+
+
+@contextlib.contextmanager
+def worker_process(fn):
+    """Yield `start(*args) -> wait`, where `wait()` returns `fn(*args)` or
+    raises the exception it raised.
+
+    Where the `fork` start method exists, `fn` runs in one worker process,
+    forked on entry, so it sees the caller's memory as it was then; arrays
+    from `shared_zeros` made before entry stay shared both ways. `args`
+    and results cross a `multiprocessing` Pipe, so they must pickle. An
+    exception that pickles is raised as itself, any other as a
+    `WorkerError`; either way its `__cause__` is a `WorkerTraceback` with
+    the worker's traceback. A worker that dies without replying raises
+    `WorkerError`. On a normal exit the pipe is closed and the worker,
+    idle by then, exits at its EOF; on an error exit it is killed, since
+    its reply is not wanted. Both join it, so no worker outlives the block.
+    Each `start` must be followed by its `wait` before the next.
+
+    Elsewhere `wait()` calls `fn(*args)` on the calling thread, so work
+    done between `start` and `wait` runs first in both cases.
+    """
+    ctx = _fork_context()
+    if ctx is None:
+        yield lambda *args: functools.partial(fn, *args)
+        return
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(fn, child_end, conn), daemon=True)
+    proc.start()
+    child_end.close()
+
+    def wait():
+        try:
+            ok, value, tb = conn.recv()
+        except EOFError:
+            proc.join()
+            raise WorkerError(f"worker process {proc.pid} exited with code "
+                              f"{proc.exitcode} before replying") from None
+        if ok:
+            return value
+        value.__cause__ = WorkerTraceback(tb)
+        raise value
+
+    def start(*args):
+        conn.send(args)
+        return wait
+
+    try:
+        yield start
+    except BaseException:
+        proc.kill()
+        raise
     finally:
-        set_(saved)
+        conn.close()
+        proc.join()

@@ -8,6 +8,7 @@ layer-norm parameters and the mask token.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -18,7 +19,7 @@ import numpy as np
 from .container import naming, write_text
 from .errors import ContractError, TrainingDivergedError
 from .model import MaeConfig, MaeParams, check_field, mae_forward, save_checkpoint
-from .runtime import thread_pair
+from .runtime import one_blas_thread, shared_zeros, worker_process
 from .tensor import Layout, Tensor, scale
 
 
@@ -109,10 +110,10 @@ class OptimizerState:
         return OptimizerState(params=params, m=np.zeros(n), v=np.zeros(n), spans=layout.spans,
                               scratch=np.zeros((2, n)))
 
-    def bind_grads(self, params: dict[str, Tensor]) -> np.ndarray:
-        """A zeroed gradient buffer with each leaf's `.grad` bound to its
-        view, so `backward()` accumulates into the buffer in place."""
-        buf = np.zeros(len(self.params))
+    def bind_grads(self, params: dict[str, Tensor], buf: np.ndarray | None = None) -> np.ndarray:
+        """A gradient buffer, zeroed or `buf`, with each leaf's `.grad` bound
+        to its view, so `backward()` accumulates into the buffer in place."""
+        buf = np.zeros(len(self.params)) if buf is None else buf
         for k, t in params.items():
             start, stop = self.spans[k]
             t.grad = buf[start:stop].reshape(t.shape)
@@ -226,14 +227,18 @@ class WavSpecDataset:
 
 # A step is split into two shards when one shard's attention scores, shard
 # size x n_p x the sum of the decoder windows, reach this many elements.
-# Below it the graphs are small and their Python-side work holds the GIL,
-# so a second thread only adds contention. Median step times, one graph
-# against two shards (batch 8, decoder d_k 2, one BLAS thread, 2 cores):
-# 16 patches (2.9k scores) 6.3 against 10.3 ms; 100 patches (126k) 27
-# against 37 ms; 150 (313k) 53 against 52 ms; 200 (531k) 78 against
-# 60 ms; 250 (717k) 89 against 60 ms. The crossover lies between 313k
-# and 531k.
-SHARD_MIN_SCORES = 400_000
+# Below it the graphs are small and the worker's fixed costs (the fork, its
+# copy-on-write faults, two buffer copies and a pipe round trip per step)
+# eat the gain. Median step times, one graph against two shards with shard
+# 1 in the worker (batch 8, decoder d_k 2, one BLAS thread, 2 cores, 5
+# alternating runs of 40 steps): 16 patches (2.9k scores, the tiny config)
+# 4.5 against 5.8 ms; 20 (4.9k) 5.5 against 5.1; 40 (20.6k) 9.5 against
+# 7.2; 50 (28.4k) 8.8 against 9.5; 60 (54.5k) 15.3 against 11.8; 100
+# (126k) 28 against 18; 150 (313k) 41 against 27; 200 (531k) 61 against
+# 40; 250 (717k) 65 against 44. Up to 28.4k the two are within a ms either
+# way; from 54.5k two shards win clearly. Threads, before the worker, won
+# only from 531k.
+SHARD_MIN_SCORES = 40_000
 
 
 def _shard_bounds(batch: int, cfg: MaeConfig) -> list[tuple[int, int]]:
@@ -274,14 +279,19 @@ def train(
     The loop's position is the global `step`; each epoch starts with one
     permutation drawn from a generator seeded with `train_cfg.seed`.
 
-    A large enough minibatch is split into two fixed shards (see
-    `_shard_bounds`), each with its own graph against its own replica of
-    the parameter leaves, run on the one `thread_pair()` the call enters.
-    Their gradients are summed in shard order before the one AdamW step, so
-    the numbers do not depend on which thread or core runs a shard. Inside
-    it BLAS runs on one thread, so they do not depend on the caller's BLAS
-    thread count either. The loss CSV is written on every exit, with the
-    rows of the steps that finished.
+    The whole call runs inside `one_blas_thread()`, so the numbers do not
+    depend on the caller's BLAS thread count. A large enough minibatch is
+    split into two fixed shards (see `_shard_bounds`), each with its own
+    graph. Shard 1 runs in the one `worker_process()` the call forks: over
+    a shared mirror of the parameter buffer, which is refreshed before each
+    step, into its own shared gradient buffer, on its slice of the batch's
+    spectrograms, copied into a third shared buffer. Meanwhile shard 0 runs
+    here; the gradients are then summed in shard order, shard 0 + shard 1,
+    before the one AdamW step, so the numbers do not depend on which
+    process or core runs a shard. Without `fork`, shard 1 runs after shard
+    0 on the calling thread, over the same buffers and with the same bytes.
+    The loss CSV is written on every exit, with the rows of the steps that
+    finished.
     """
     if max_steps is not None:
         check_field("max_steps", max_steps, 1, 1)
@@ -297,17 +307,16 @@ def train(
         total_steps = min(total_steps, max_steps)
     ckpt_every = train_cfg.ckpt_every_epochs * steps_per_epoch  # in steps; 0 = never
 
-    with thread_pair() as run:
+    with one_blas_thread(), contextlib.ExitStack() as stack:
         if params is None:
             params = MaeParams.init(mae_cfg)
         named = params.named()
         no_decay = params.no_decay_names()
         shards = _shard_bounds(batch, mae_cfg)
-        state = OptimizerState.init(params.flat, MaeParams.layout(mae_cfg))
-        # Replicas view the same buffer; each shard's graph backpropagates
-        # into its own gradient buffer.
-        shard_params = [params] + [params.replica() for _ in shards[1:]]
-        grad_bufs = [state.bind_grads(p.named()) for p in shard_params]
+        layout = MaeParams.layout(mae_cfg)
+        state = OptimizerState.init(params.flat, layout)
+        shard_params = [params]
+        grad_bufs = [state.bind_grads(named)]
         grads = {k: t.grad for k, t in named.items()}
         order_rng = np.random.default_rng(train_cfg.seed)
 
@@ -322,6 +331,32 @@ def train(
                 raise TrainingDivergedError(f"weights left float32 range by step {steps_done} "
                                             f"({e}); last checkpoint retained") from None
 
+        def shard(k: int, specs: np.ndarray, seeds: list[int]) -> float:
+            # Forward and, if the loss is finite, backward. The loss is
+            # weighted by the shard's share of the batch, so the shards'
+            # leaf gradients sum to the whole batch's mean-loss gradient.
+            loss = mae_forward(specs, mae_cfg, shard_params[k], seed=seeds).loss
+            if len(shards) > 1:
+                lo, hi = shards[k]
+                loss = scale(loss, (hi - lo) / batch)
+            value = loss.item()
+            if math.isfinite(value):
+                loss.backward()
+            return value
+
+        if len(shards) > 1:
+            # Shard 1's graph reads a mirror of the parameters and
+            # backpropagates into its own buffer; both buffers and its
+            # spectrograms are shared with the worker, forked after them.
+            lo, hi = shards[1]
+            mirror = shared_zeros(layout.size)
+            shard_params.append(params.replica(mirror))
+            grad_bufs.append(state.bind_grads(shard_params[1].named(),
+                                              shared_zeros(layout.size)))
+            shard_specs = shared_zeros(hi - lo, mae_cfg.input_t, mae_cfg.input_f)
+            start = stack.enter_context(worker_process(
+                lambda seeds, specs: shard(1, shard_specs if specs is None else specs, seeds)))
+
         try:
             for step in range(total_steps):
                 epoch, b = divmod(step, steps_per_epoch)
@@ -332,22 +367,17 @@ def train(
                     buf.fill(0.0)
                 specs = np.stack([dataset.spec(int(i), epoch) for i in idx])
                 seeds = [_mask_seed(train_cfg.seed, step, j) for j in range(len(idx))]
-
-                def shard(k: int) -> float:
-                    # Forward and, if the loss is finite, backward. The loss is
-                    # weighted by the shard's share of the batch, so the shards'
-                    # leaf gradients sum to the whole batch's mean-loss gradient.
-                    lo, hi = shards[k]
-                    loss = mae_forward(specs[lo:hi], mae_cfg, shard_params[k],
-                                       seed=seeds[lo:hi]).loss
-                    if len(shards) > 1:
-                        loss = scale(loss, (hi - lo) / len(idx))
-                    value = loss.item()
-                    if math.isfinite(value):
-                        loss.backward()
-                    return value
-
-                mean_loss = sum(run(shard, range(len(shards))))
+                if len(shards) > 1:
+                    mirror[:] = state.params
+                    part = specs[lo:hi]
+                    # A batch of another shape or dtype goes through the pipe.
+                    if part.shape == shard_specs.shape and part.dtype == shard_specs.dtype:
+                        shard_specs[...] = part
+                        part = None
+                    wait = start(seeds[lo:], part)
+                    mean_loss = shard(0, specs[:lo], seeds[:lo]) + wait()
+                else:
+                    mean_loss = shard(0, specs, seeds)
                 if not math.isfinite(mean_loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step}; last checkpoint retained"

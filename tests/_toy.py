@@ -220,3 +220,24 @@ class FailsMidway:
 
     def __exit__(self, *exc):
         return self.fh.__exit__(*exc)
+
+
+def alive(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class ShardFailure(Exception):
+    """Raised inside a shard; module-level, so it pickles."""
+
+
+class Unpicklable(Exception):
+    """Raised inside a shard; its lock does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()

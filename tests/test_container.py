@@ -37,6 +37,31 @@ def test_roundtrip_within_f32(tmp_path):
         assert back[k].shape == v.shape
 
 
+def test_views_are_the_stored_float32_values(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(5,))})
+    copies, views = load_tensors(path), load_tensors(path, views=True)
+    assert list(views) == list(copies) == ["a", "b"]
+    for name, v in views.items():
+        assert v.dtype == np.dtype("<f4") and not v.flags.writeable
+        np.testing.assert_array_equal(v.astype(np.float64), copies[name])
+    # views of the bytes read, back to back as in the file, not copies
+    assert views["b"].ctypes.data == views["a"].ctypes.data + views["a"].nbytes
+
+
+@pytest.mark.parametrize("tail, match", [(b"\0", "end at payload byte"),
+                                         (None, "non-finite")])
+def test_views_get_every_check(tmp_path, tail, match):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"a": np.ones(2)})
+    raw = path.read_bytes()
+    path.write_bytes(raw + tail if tail else raw[:-4] + np.float32(np.inf).tobytes())
+    with pytest.raises(ContractError, match=match) as info:
+        load_tensors(path, views=True)
+    assert str(path) in str(info.value)
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "t.bin"
     save_tensors(path, {"b": np.ones((2, 2)), "a": np.zeros(3)})

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,7 +448,7 @@ class TestMaeConfig:
 class TestReplica:
     def test_shares_arrays_not_leaves(self):
         params = MaeParams.init(tiny_config())
-        replica = params.replica()
+        replica = params.replica(params.flat)
         named, twin = params.named(), replica.named()
         assert list(twin) == list(named)
         for k, t in named.items():
@@ -458,7 +459,7 @@ class TestReplica:
     def test_backward_writes_only_its_own_leaves(self):
         cfg = tiny_config()
         params = MaeParams.init(cfg)
-        replica = params.replica()
+        replica = params.replica(params.flat)
         spec = np.random.default_rng(3).normal(size=(8, 8))
         mae_forward(spec, cfg, replica, seed=1).loss.backward()
         assert all(t.grad is None for t in params.named().values())
@@ -491,6 +492,21 @@ class TestFlatParameters:
         assert cfg2 == cfg
         assert_views_spans(loaded.named(), loaded.flat, MaeParams.layout(cfg))
         np.testing.assert_array_equal(loaded.flat, params.flat.astype(np.float32))
+
+    def test_load_holds_no_float64_copy_per_tensor(self, tmp_path):
+        # The file's bytes plus the buffer, and less than a quarter buffer
+        # more; a float64 copy of every tensor would add a whole buffer.
+        cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=2, enc_width=128, enc_heads=2,
+                        dec_depth=2, dec_width=128, seed=0)
+        save_checkpoint(tmp_path / "m.bin", cfg, MaeParams.init(cfg))
+        buffer_bytes = 8 * MaeParams.layout(cfg).size
+        tracemalloc.start()
+        try:
+            load_checkpoint(tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "m.bin").stat().st_size + 1.25 * buffer_bytes
 
 
 class TestCheckpoint:

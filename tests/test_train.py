@@ -1,13 +1,16 @@
 """Optimizer numerics, learning-rate schedule, and the training loop."""
 
+import contextlib
 import ctypes
 import dataclasses
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +32,9 @@ from mwmae.train import (
     train,
 )
 
-from _toy import (FailsMidway, assert_views_spans, blas_threads,  # noqa: F401 (fixtures)
-                  thread_starts, tiny_config, toy_spectrograms, toy_train_config)
+from _toy import (FailsMidway, ShardFailure, Unpicklable, alive,  # noqa: F401 (fixtures)
+                  assert_views_spans, blas_threads, thread_starts, tiny_config,
+                  toy_spectrograms, toy_train_config)
 
 
 class TestEffectiveLr:
@@ -597,22 +601,53 @@ def pipeline_specs(n: int = 8) -> list[np.ndarray]:
     return [rng.normal(size=(200, 80)) for _ in range(n)]
 
 
+class ProcessLog:
+    """JSON records appended to a file by this process and by a worker it
+    forks, each led by the writing process's pid; `read()` returns them in
+    the order written. A forked worker's memory is its own, so a spy that
+    runs in it reports through the file."""
+
+    def __init__(self, path):
+        self.path = path
+        self.path.touch()
+
+    def add(self, *record) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *record]) + "\n")
+
+    def read(self) -> list[list]:
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+
 @pytest.fixture
-def forward_calls(monkeypatch):
-    """Record the mask seeds of every `mae_forward` call that `train` makes."""
-    calls = []
+def forward_calls(monkeypatch, tmp_path_factory):
+    """A `ProcessLog` of [pid, mask seeds] for every `mae_forward` call that
+    `train` makes, in this process or in its worker."""
+    log = ProcessLog(tmp_path_factory.mktemp("calls") / "forward.jsonl")
     real = train_module.mae_forward
 
     def spy(spec, cfg, params, seed):
-        calls.append(list(seed))
+        log.add(list(seed))
         return real(spec, cfg, params, seed=seed)
 
     monkeypatch.setattr(train_module, "mae_forward", spy)
-    return calls
+    return log
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Run sharded steps as where `fork` is missing: both shards, in order,
+    on the calling thread."""
+    monkeypatch.setattr(runtime, "_fork_context", lambda: None)
+
+
+def worker_pids(log: ProcessLog) -> set[int]:
+    return {pid for pid, *_ in log.read()} - {os.getpid()}
 
 
 class TestShardedStep:
-    """A large minibatch runs as two fixed half-batch graphs, one per thread."""
+    """A large minibatch runs as two fixed half-batch graphs: shard 0 here,
+    shard 1 in a forked worker process."""
 
     def test_gate(self):
         assert _shard_bounds(8, pipeline_config()) == [(0, 4), (4, 8)]
@@ -630,7 +665,9 @@ class TestShardedStep:
         monkeypatch.setattr(train_module, "adamw_step", capture)
         result = train(specs, cfg, tc, max_steps=1)
         seeds = [_mask_seed(tc.seed, 0, j) for j in range(8)]
-        assert sorted(forward_calls) == sorted([seeds[:4], seeds[4:]])
+        calls = {tuple(s): pid for pid, s in forward_calls.read()}
+        assert sorted(calls) == sorted([tuple(seeds[:4]), tuple(seeds[4:])])
+        assert calls[tuple(seeds[:4])] == os.getpid() != calls[tuple(seeds[4:])]
 
         order = np.random.default_rng(tc.seed).permutation(8)
         params = MaeParams.init(cfg)
@@ -642,29 +679,43 @@ class TestShardedStep:
         for k, t in named.items():
             assert np.max(np.abs(got[k] - t.grad)) <= 1e-12 * max(1.0, np.abs(t.grad).max()), k
 
-    def test_each_step_reaches_both_shards_and_grads_stay_apart(self, monkeypatch):
+    def test_each_step_reaches_both_shards_and_grads_stay_apart(self, monkeypatch, tmp_path):
+        # Each process checks its shard's leaves against the buffers they
+        # view and logs those buffers; the update checks them per step.
         layout = MaeParams.layout(pipeline_config())
-        shard_params, steps = [], []
+        log = ProcessLog(tmp_path / "shards.jsonl")
+        steps = []
         real_forward, real_adamw = train_module.mae_forward, train_module.adamw_step
 
+        def span(a: np.ndarray) -> list[int]:
+            return [a.ctypes.data, a.ctypes.data + a.nbytes]
+
         def forward(spec, cfg, params, seed):
-            if all(params is not p for p in shard_params):
-                shard_params.append(params)
+            grad_buf = params.named()["head.w"].grad.base
+            assert_views_spans(params.named(), params.flat, layout)
+            assert_views_spans({k: T.Tensor(t.grad) for k, t in params.named().items()},
+                               grad_buf, layout)
+            log.add(span(params.flat), span(grad_buf), params.flat.tobytes().hex(),
+                    bool(grad_buf.any()))
             return real_forward(spec, cfg, params, seed=seed)
 
         def adamw(params, grads, state, lr, cfg, no_decay):
             before = state.params.copy()
+            shards = log.read()
+            log.path.write_text("")
+            assert len(shards) == 2 and len({pid for pid, *_ in shards}) == 2
+            here = next(r for r in shards if r[0] == os.getpid())
+            there = next(r for r in shards if r[0] != os.getpid())
+            assert here[1] == span(state.params)
+            assert here[2] == span(grads["embed.w"].base)
+            # shard 1 read this step's parameters from its own buffer, and its
+            # gradients went to a buffer apart from the parameters and shard 0's
+            assert there[3] == before.tobytes().hex()
+            spans = [here[1], here[2], there[1], there[2]]
+            for k, (lo, hi) in enumerate(spans):
+                assert all(hi <= lo2 or hi2 <= lo for lo2, hi2 in spans[k + 1:])
+            assert not here[4] and not there[4]  # both gradient buffers were zeroed
             real_adamw(params, grads, state, lr, cfg, no_decay=no_decay)
-            assert len(shard_params) == 2 and shard_params[0] is not shard_params[1]
-            grad_bufs = []
-            for p in shard_params:
-                assert p.flat is state.params
-                assert_views_spans(p.named(), state.params, layout)
-                grad_bufs.append(p.named()["head.w"].grad.base)
-                assert_views_spans({k: T.Tensor(t.grad) for k, t in p.named().items()},
-                                   grad_bufs[-1], layout)
-            assert not np.shares_memory(grad_bufs[0], grad_bufs[1])
-            assert not np.shares_memory(grad_bufs[0], state.params)
             steps.append(not np.array_equal(before, state.params))
 
         monkeypatch.setattr(train_module, "mae_forward", forward)
@@ -680,25 +731,63 @@ class TestShardedStep:
             train(pipeline_specs(16), pipeline_config(), pipeline_train_config(),
                   out_ckpt=out / "m.ckpt", loss_csv=out / "loss.csv", max_steps=3)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(forward_calls) == 3 * 3 * 2
+        assert len(forward_calls.read()) == 3 * 3 * 2
         assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_worker_gives_the_serial_paths_bytes(self, tmp_path, monkeypatch, blas_threads,
+                                                  forward_calls, blas):
+        blas_threads[1](blas)
+        outputs = []
+        for mode in ("worker", "serial"):
+            if mode == "serial":
+                monkeypatch.setattr(runtime, "_fork_context", lambda: None)
+            out = tmp_path / mode
+            out.mkdir()
+            train(pipeline_specs(16), pipeline_config(), pipeline_train_config(),
+                  out_ckpt=out / "m.ckpt", loss_csv=out / "loss.csv", max_steps=3)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            pids = [pid for pid, _ in forward_calls.read()]
+            assert len(pids) == 6 and (pids.count(os.getpid()) == 3) == (mode == "worker")
+            forward_calls.path.write_text("")
+        assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
+        assert outputs[0] == outputs[1]
+
+    def test_a_batch_of_another_shape_takes_the_pipe(self, tmp_path, monkeypatch,
+                                                      forward_calls):
+        # 100x160 also makes 250 patches of 4x16, but does not fit the
+        # shared (4, 200, 80) buffer.
+        rng = np.random.default_rng(3)
+        specs = [rng.normal(size=(100, 160)) for _ in range(16)]
+        outputs = []
+        for mode in ("worker", "serial"):
+            if mode == "serial":
+                monkeypatch.setattr(runtime, "_fork_context", lambda: None)
+            out = tmp_path / mode
+            out.mkdir()
+            train(specs, pipeline_config(), pipeline_train_config(),
+                  out_ckpt=out / "m.ckpt", loss_csv=out / "loss.csv", max_steps=2)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(worker_pids(forward_calls)) == 1
+        assert outputs[0] == outputs[1]
 
     def test_tiny_config_never_shards(self, forward_calls):
         specs = toy_spectrograms(16, seed=7)
         train(specs, tiny_config(), toy_train_config(), max_steps=3)
-        assert forward_calls == [[_mask_seed(1, step, j) for j in range(8)]
-                                 for step in range(3)]
+        assert forward_calls.read() == [[os.getpid(), [_mask_seed(1, step, j) for j in range(8)]]
+                                        for step in range(3)]
 
     @pytest.mark.parametrize("sharded", [False, True])
-    def test_one_thread_pair_per_call(self, thread_starts, sharded):
-        # Three steps over two epochs; a pool per step would start six threads.
+    def test_one_worker_per_call_and_no_thread(self, thread_starts, forward_calls, sharded):
+        # Three steps over two epochs; a worker per step would make three.
         threads = threading.active_count()
         if sharded:
             train(pipeline_specs(16), pipeline_config(), pipeline_train_config(), max_steps=3)
         else:
             train(toy_spectrograms(16, seed=7), tiny_config(), toy_train_config(), max_steps=3)
-        assert len(thread_starts) == (2 if sharded else 0)
+        assert len(worker_pids(forward_calls)) == (1 if sharded else 0)
+        assert thread_starts == []
         assert threading.active_count() == threads
 
     def test_non_finite_shard_loss_changes_nothing(self, monkeypatch):
@@ -731,23 +820,107 @@ class TestShardedStep:
         for k, t in params.named().items():
             assert np.array_equal(t.data, after_first["params"][k]), k
 
-    def test_error_inside_shard_reaches_caller(self, monkeypatch, thread_starts):
-        class ShardFailure(Exception):
-            pass
-
+    def _fail_in_shard_1(self, monkeypatch, error):
         failing = _mask_seed(0, 0, 4)
+        spy = train_module.mae_forward
 
         def forward(spec, cfg, params, seed):
+            out = spy(spec, cfg, params, seed=seed)
             if seed[0] == failing:
-                raise ShardFailure("shard 1")
-            return mae_forward(spec, cfg, params, seed=seed)
+                raise error("shard 1")
+            return out
 
         monkeypatch.setattr(train_module, "mae_forward", forward)
-        threads = threading.active_count()
-        with pytest.raises(ShardFailure, match="shard 1"):
+
+    @staticmethod
+    def _assert_raised_in_worker(caught, forward_calls) -> None:
+        cause = caught.value.__cause__
+        assert isinstance(cause, runtime.WorkerTraceback)
+        assert "in forward" in str(cause) and "shard 1" in str(cause)
+        (pid,) = worker_pids(forward_calls)
+        assert not alive(pid)
+
+    def test_error_inside_shard_reaches_caller(self, monkeypatch, thread_starts,
+                                               forward_calls):
+        self._fail_in_shard_1(monkeypatch, ShardFailure)
+        with pytest.raises(ShardFailure, match="shard 1") as caught:
             train(pipeline_specs(), pipeline_config(), pipeline_train_config())
-        assert threading.active_count() == threads  # the pool died with the call
-        assert len(thread_starts) == 2
+        self._assert_raised_in_worker(caught, forward_calls)
+        assert thread_starts == []
+
+    def test_unpicklable_error_inside_shard_reaches_caller(self, monkeypatch,
+                                                           forward_calls):
+        self._fail_in_shard_1(monkeypatch, Unpicklable)
+        with pytest.raises(runtime.WorkerError,
+                           match="^_toy.Unpicklable: shard 1$") as caught:
+            train(pipeline_specs(), pipeline_config(), pipeline_train_config())
+        self._assert_raised_in_worker(caught, forward_calls)
+
+
+# A sharded run that logs its worker's pid and then trains until it is
+# killed. argv: none.
+_KILLED_RUN = """
+import importlib, os, sys
+import numpy as np
+from mwmae.model import MaeConfig
+from mwmae.train import TrainConfig
+tm = importlib.import_module("mwmae.train")
+parent, real = os.getpid(), tm.mae_forward
+def forward(spec, cfg, params, seed):
+    if os.getpid() != parent:
+        print(os.getpid(), flush=True)
+    return real(spec, cfg, params, seed=seed)
+tm.mae_forward = forward
+rng = np.random.default_rng(0)
+specs = [rng.normal(size=(200, 80)) for _ in range(8)]
+cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
+                dec_depth=1, dec_width=16, seed=0)
+tm.train(specs, cfg, TrainConfig(base_lr=0.1, batch_size=8, warmup_epochs=1,
+                                 total_epochs=100000, seed=0))
+"""
+
+
+class TestNoWorkerOutlivesTrain:
+    """The worker is gone when `train()` returns or raises, and when the
+    process that called it is killed."""
+
+    @pytest.mark.parametrize("ending", ["return", "shard 1 raises", "diverged"])
+    def test_train_ends(self, monkeypatch, forward_calls, ending):
+        specs = pipeline_specs(16)
+        if ending == "diverged":
+            specs[5] = np.full_like(specs[5], np.nan)  # in one of the first two steps
+        parent, spy = os.getpid(), train_module.mae_forward
+
+        def forward(spec, cfg, params, seed):
+            out = spy(spec, cfg, params, seed=seed)
+            if ending == "shard 1 raises" and os.getpid() != parent:
+                raise ShardFailure("shard 1")
+            return out
+
+        monkeypatch.setattr(train_module, "mae_forward", forward)
+        raised = {"return": None, "shard 1 raises": ShardFailure,
+                  "diverged": TrainingDivergedError}[ending]
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            train(specs, pipeline_config(), pipeline_train_config(), max_steps=2)
+        (pid,) = worker_pids(forward_calls)
+        assert not alive(pid)
+        assert importlib.import_module("multiprocessing").active_children() == []
+
+    def test_killed_parent(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-c", _KILLED_RUN], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            pid = int(proc.stdout.readline())
+            assert alive(pid)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(pid)
 
 
 class TestStepSeam:
@@ -793,11 +966,11 @@ class TestOneBlasThread:
     def test_loss_csv_is_the_same_for_any_blas_count(self, tmp_path, monkeypatch,
                                                       blas_threads):
         get, set_ = blas_threads
-        counts_inside = []
+        log = ProcessLog(tmp_path / "counts.jsonl")
         real = train_module.mae_forward
 
         def forward(spec, cfg, params, seed):
-            counts_inside.append(get())
+            log.add(get())
             return real(spec, cfg, params, seed=seed)
 
         monkeypatch.setattr(train_module, "mae_forward", forward)
@@ -811,7 +984,9 @@ class TestOneBlasThread:
                   loss_csv=loss_csv)
             assert get() == count
             csvs.append(loss_csv.read_bytes())
-        assert len(counts_inside) == 2 * 8 * 2 and set(counts_inside) == {1}
+        counts_inside = log.read()
+        assert len(counts_inside) == 2 * 8 * 2 and {c for _, c in counts_inside} == {1}
+        assert len({pid for pid, _ in counts_inside}) == 3  # here and two workers
         assert csvs[0] == csvs[1]
 
     def test_count_restored_after_divergence(self, blas_threads):
