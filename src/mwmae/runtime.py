@@ -23,6 +23,11 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
+# Seconds a worker may take to exit once the parent has closed its pipe. It
+# is idle by then and exits at once, so only a worker that never sees EOF
+# takes longer.
+_EXIT_TIMEOUT_S = 10.0
+
 
 @functools.cache
 def _keep_freed_memory() -> None:
@@ -182,9 +187,21 @@ def worker_process(fn):
     `WorkerError`; either way its `__cause__` is a `WorkerTraceback` with
     the worker's traceback. A worker that dies without replying raises
     `WorkerError`. On a normal exit the pipe is closed and the worker,
-    idle by then, exits at its EOF; on an error exit it is killed, since
-    its reply is not wanted. Both join it, so no worker outlives the block.
-    Each `start` must be followed by its `wait` before the next.
+    idle by then, exits at its EOF; one still alive `_EXIT_TIMEOUT_S`
+    later is killed and raises `WorkerError`. On an error exit it is
+    killed, since its reply is not wanted. Both join it, so no worker
+    outlives the block. Each `start` must be followed by its `wait`
+    before the next.
+
+    OpenBLAS's pool threads may be alive on entry, since pinning BLAS to
+    one thread does not end them. OpenBLAS's own `pthread_atfork` handler
+    ends them just before the fork, and each process starts them again at
+    its next multi-threaded BLAS call. A caller
+    without threads of its own therefore forks with one thread, and
+    Python 3.12+ gives no "multi-threaded fork" DeprecationWarning. A
+    caller that does run threads gets that warning, rightly: the child
+    holds only the forking thread, and a lock another thread held at the
+    fork stays held there.
 
     Elsewhere `wait()` calls `fn(*args)` on the calling thread, so work
     done between `start` and `wait` runs first in both cases.
@@ -221,4 +238,9 @@ def worker_process(fn):
         raise
     finally:
         conn.close()
+        proc.join(_EXIT_TIMEOUT_S)
+    if proc.exitcode is None:
+        proc.kill()
         proc.join()
+        raise WorkerError(f"worker process {proc.pid} did not exit within "
+                          f"{_EXIT_TIMEOUT_S} s of its pipe closing; killed")

@@ -9,6 +9,7 @@ layer-norm parameters and the mask token.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -228,7 +229,7 @@ class WavSpecDataset:
 # A step is split into two shards when one shard's attention scores, shard
 # size x n_p x the sum of the decoder windows, reach this many elements.
 # Below it the graphs are small and the worker's fixed costs (the fork, its
-# copy-on-write faults, two buffer copies and a pipe round trip per step)
+# copy-on-write faults, the mirror copy and a pipe round trip per step)
 # eat the gain. Median step times, one graph against two shards with shard
 # 1 in the worker (batch 8, decoder d_k 2, one BLAS thread, 2 cores, 5
 # alternating runs of 40 steps): 16 patches (2.9k scores, the tiny config)
@@ -236,8 +237,7 @@ class WavSpecDataset:
 # 7.2; 50 (28.4k) 8.8 against 9.5; 60 (54.5k) 15.3 against 11.8; 100
 # (126k) 28 against 18; 150 (313k) 41 against 27; 200 (531k) 61 against
 # 40; 250 (717k) 65 against 44. Up to 28.4k the two are within a ms either
-# way; from 54.5k two shards win clearly. Threads, before the worker, won
-# only from 531k.
+# way; from 54.5k two shards win clearly.
 SHARD_MIN_SCORES = 40_000
 
 
@@ -285,7 +285,7 @@ def train(
     graph. Shard 1 runs in the one `worker_process()` the call forks: over
     a shared mirror of the parameter buffer, which is refreshed before each
     step, into its own shared gradient buffer, on its slice of the batch's
-    spectrograms, copied into a third shared buffer. Meanwhile shard 0 runs
+    spectrograms, sent over the worker's pipe. Meanwhile shard 0 runs
     here; the gradients are then summed in shard order, shard 0 + shard 1,
     before the one AdamW step, so the numbers do not depend on which
     process or core runs a shard. Without `fork`, shard 1 runs after shard
@@ -346,16 +346,14 @@ def train(
 
         if len(shards) > 1:
             # Shard 1's graph reads a mirror of the parameters and
-            # backpropagates into its own buffer; both buffers and its
-            # spectrograms are shared with the worker, forked after them.
-            lo, hi = shards[1]
+            # backpropagates into its own buffer; both buffers are shared
+            # with the worker, forked after them.
+            lo = shards[1][0]
             mirror = shared_zeros(layout.size)
             shard_params.append(params.replica(mirror))
             grad_bufs.append(state.bind_grads(shard_params[1].named(),
                                               shared_zeros(layout.size)))
-            shard_specs = shared_zeros(hi - lo, mae_cfg.input_t, mae_cfg.input_f)
-            start = stack.enter_context(worker_process(
-                lambda seeds, specs: shard(1, shard_specs if specs is None else specs, seeds)))
+            start = stack.enter_context(worker_process(functools.partial(shard, 1)))
 
         try:
             for step in range(total_steps):
@@ -369,12 +367,7 @@ def train(
                 seeds = [_mask_seed(train_cfg.seed, step, j) for j in range(len(idx))]
                 if len(shards) > 1:
                     mirror[:] = state.params
-                    part = specs[lo:hi]
-                    # A batch of another shape or dtype goes through the pipe.
-                    if part.shape == shard_specs.shape and part.dtype == shard_specs.dtype:
-                        shard_specs[...] = part
-                        part = None
-                    wait = start(seeds[lo:], part)
+                    wait = start(specs[lo:], seeds[lo:])
                     mean_loss = shard(0, specs[:lo], seeds[:lo]) + wait()
                 else:
                     mean_loss = shard(0, specs, seeds)

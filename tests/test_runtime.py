@@ -6,12 +6,13 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from mwmae import runtime
 from mwmae.runtime import WorkerError, WorkerTraceback, shared_zeros, worker_process
 
-from _toy import ShardFailure, Unpicklable, alive
+from _toy import ShardFailure, Unpicklable, alive, blas_threads  # noqa: F401 (fixture)
 
 
 def test_results_come_back_in_call_order():
@@ -89,6 +90,41 @@ def test_an_error_in_the_block_ends_a_busy_worker():
             raise ShardFailure("the caller's own error")
     assert time.monotonic() - began < 30
     assert not alive(int(pid[0]))
+
+
+def test_a_worker_that_never_sees_eof_is_killed(monkeypatch):
+    serve = runtime._serve
+
+    def serve_keeping_the_parent_end(fn, conn, parent_end):
+        os.dup(parent_end.fileno())  # a copy the worker never closes
+        serve(fn, conn, parent_end)
+
+    monkeypatch.setattr(runtime, "_serve", serve_keeping_the_parent_end)
+    monkeypatch.setattr(runtime, "_EXIT_TIMEOUT_S", 0.5)
+    began = time.monotonic()
+    with pytest.raises(WorkerError, match="did not exit within 0.5 s"):
+        with worker_process(os.getpid) as start:
+            pid = start()()
+    assert time.monotonic() - began < 30
+    assert not alive(pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc thread list")
+def test_the_fork_leaves_no_blas_thread_running(blas_threads):
+    # OpenBLAS ends its pool threads before a fork, so a caller without
+    # threads of its own forks with one: Python 3.12+ then has no
+    # multi-threaded fork to warn about.
+    def threads() -> int:
+        return len(os.listdir("/proc/self/task"))
+
+    blas_threads[1](2)
+    a = np.random.default_rng(0).normal(size=(600, 600))
+    a @ a
+    assert threads() > threading.active_count()  # the pool is running
+    with worker_process(threads) as start:
+        here = threads()
+        there = start()()
+    assert here == threading.active_count() and there == 1
 
 
 def test_an_unsharded_process_never_imports_multiprocessing():

@@ -754,24 +754,6 @@ class TestShardedStep:
         assert sorted(outputs[0]) == ["loss.csv", "m.ckpt", "m.ckpt.json"]
         assert outputs[0] == outputs[1]
 
-    def test_a_batch_of_another_shape_takes_the_pipe(self, tmp_path, monkeypatch,
-                                                      forward_calls):
-        # 100x160 also makes 250 patches of 4x16, but does not fit the
-        # shared (4, 200, 80) buffer.
-        rng = np.random.default_rng(3)
-        specs = [rng.normal(size=(100, 160)) for _ in range(16)]
-        outputs = []
-        for mode in ("worker", "serial"):
-            if mode == "serial":
-                monkeypatch.setattr(runtime, "_fork_context", lambda: None)
-            out = tmp_path / mode
-            out.mkdir()
-            train(specs, pipeline_config(), pipeline_train_config(),
-                  out_ckpt=out / "m.ckpt", loss_csv=out / "loss.csv", max_steps=2)
-            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(worker_pids(forward_calls)) == 1
-        assert outputs[0] == outputs[1]
-
     def test_tiny_config_never_shards(self, forward_calls):
         specs = toy_spectrograms(16, seed=7)
         train(specs, tiny_config(), toy_train_config(), max_steps=3)
@@ -857,27 +839,50 @@ class TestShardedStep:
         self._assert_raised_in_worker(caught, forward_calls)
 
 
-# A sharded run that logs its worker's pid and then trains until it is
-# killed. argv: none.
-_KILLED_RUN = """
+# The pipeline config's data and configs in a fresh interpreter.
+_PIPELINE_SETUP = """
 import importlib, os, sys
 import numpy as np
 from mwmae.model import MaeConfig
 from mwmae.train import TrainConfig
 tm = importlib.import_module("mwmae.train")
+rng = np.random.default_rng(0)
+specs = [rng.normal(size=(200, 80)) for _ in range(8)]
+cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
+                dec_depth=1, dec_width=16, seed=0)
+assert len(tm._shard_bounds(8, cfg)) == 2
+"""
+
+# A sharded run that logs its worker's pid and then trains until it is
+# killed. argv: none.
+_KILLED_RUN = _PIPELINE_SETUP + """
 parent, real = os.getpid(), tm.mae_forward
 def forward(spec, cfg, params, seed):
     if os.getpid() != parent:
         print(os.getpid(), flush=True)
     return real(spec, cfg, params, seed=seed)
 tm.mae_forward = forward
-rng = np.random.default_rng(0)
-specs = [rng.normal(size=(200, 80)) for _ in range(8)]
-cfg = MaeConfig(patch_t=4, patch_f=16, enc_depth=1, enc_width=16, enc_heads=2,
-                dec_depth=1, dec_width=16, seed=0)
 tm.train(specs, cfg, TrainConfig(base_lr=0.1, batch_size=8, warmup_epochs=1,
                                  total_epochs=100000, seed=0))
 """
+
+# One sharded step, forked while OpenBLAS's pool runs. argv: none.
+_FORK_AFTER_BLAS_RUN = _PIPELINE_SETUP + """
+a = rng.normal(size=(600, 600))
+a @ a
+tm.train(specs, cfg, TrainConfig(base_lr=0.1, batch_size=8, warmup_epochs=1,
+                                 total_epochs=2, seed=0), max_steps=1)
+"""
+
+
+def test_sharded_train_forks_without_a_deprecation_warning():
+    # Python 3.12+ warns at a fork from a process with more than one thread;
+    # OpenBLAS's pool, running before train(), must not count as one.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                           _FORK_AFTER_BLAS_RUN], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestNoWorkerOutlivesTrain:
